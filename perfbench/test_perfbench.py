@@ -66,6 +66,13 @@ def test_shims_are_removed_and_counts_repeat(bench):
     assert first["lowrank.truncate_rank.calls"]["value"] == 52
 
 
+def test_quality_summary_ignores_a_few_outlying_inputs():
+    pool = [0.99, 0.98, 0.995, 0.985, 0.99, 0.97, 0.99, 0.98, 0.995, 0.99, 0.0, 0.027]
+    assert run.interquartile_mean(pool) == pytest.approx(0.985833333)
+    assert run.interquartile_mean([2.0]) == 2.0
+    assert math.isnan(run.interquartile_mean([]))
+
+
 def test_output_check_rejects_a_corrupted_estimate(tmp_path):
     wl = workloads.WORKLOADS["fast-q300"].resized(q=60, pool=1)
     item = workloads.prepare(wl, 0, tmp_path)[0]

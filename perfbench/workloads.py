@@ -52,7 +52,7 @@ WORKLOADS = {w.name: w for w in (
     # blocks_fast (cattell + elbow): the nearest-correlation projection is most of the run.
     Workload("fast", 300, 32, "cattell", "elbow"),
     # blocks (pa + bl): the selectors dominate, the projection is a minor share.
-    Workload("full", 200, 12, "pa", "bl"),
+    Workload("full", 200, 15, "pa", "bl"),
     # The CLI on scrambled columns: the only workload that clusters and does CSV I/O.
     Workload("cli-reorder", 300, 18, "cattell", "elbow", via_cli=True),
 )}
