@@ -9,17 +9,16 @@ the whitening error of the thresholded inverse square root.
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from ._rng import STREAM_BENCH, derive_seed
 from .baselines import block_constant_estimator, kmeans_columns
-from .corr import build_gamma, sample_correlation, vech
-from .lowrank import truncate_rank
-from .metrics import frobenius_error, support_confusion, whitening_error
-from .permute import cut_tree, dissimilarity, hclust_complete, leaf_order, permute_matrix
-from .pipeline import PipelineConfig, estimate
-from .psd import PsdConfig, inv_sqrt
+from .corr import sample_correlation, vech
+from .metrics import frobenius_error, support_confusion
+from .permute import cut_tree, dissimilarity, hclust_complete, permute_matrix
+from .pipeline import PipelineConfig, estimate, finish, fixed_lambda, select
+from .psd import PsdConfig, inv_sqrt, whitening_error
 from .simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 from .sparsify import support_lambda
 
@@ -104,7 +103,7 @@ def _run_cell(task):
             S_final = S_support = R
             W = inv_sqrt(R, cfg.inv_sqrt_threshold).matrix
         elif method in ("blocks", "blocks_fast", "blocks_real"):
-            est = _run_pipeline(method, X, R, true_size, cfg, si, q, n, rep)
+            est = _run_pipeline(method, X, true_size, cfg, si, q, n, rep)
             S_final, S_support, W = est.sigma_hat, est.sigma_tilde, est.inv_sqrt.matrix
             rank_val, lam_val, size_val = est.rank.r, est.lam.lam, est.lam.support_size
         elif method == "hclust":
@@ -129,23 +128,21 @@ def _run_cell(task):
     return rows
 
 
-def _run_pipeline(method, X, R, true_size, cfg, si, q, n, rep):
+def _run_pipeline(method, X, true_size, cfg, si, q, n, rep):
     seed = derive_seed(cfg.seed, STREAM_BENCH, si, q, n, rep, 3)
     if method == "blocks":
         rank_method, lambda_method = "pa", "bl"
     elif method == "blocks_fast":
         rank_method, lambda_method = "cattell", "elbow"
-    else:  # blocks_real: true rank, threshold matched to the true support size
-        rank_method = TRUE_CLUSTERS
-        Xr = X
-        if cfg.reorder:
-            order = leaf_order(hclust_complete(dissimilarity(R, cfg.dissimilarity_kind)))
-            Xr = X[:, order]
-        G_r = truncate_rank(build_gamma(sample_correlation(Xr)), TRUE_CLUSTERS)
-        lambda_method = support_lambda(vech(G_r), true_size)
+    else:  # blocks_real: true rank, threshold matched to the true support size below
+        rank_method, lambda_method = TRUE_CLUSTERS, 0.0
     pipe_cfg = PipelineConfig(rank_method=rank_method, lambda_method=lambda_method,
                               reorder=cfg.reorder,
                               dissimilarity_kind=cfg.dissimilarity_kind,
                               psd=cfg.psd, inv_sqrt_threshold=cfg.inv_sqrt_threshold,
                               seed=seed)
-    return estimate(X, pipe_cfg)
+    if method != "blocks_real":
+        return estimate(X, pipe_cfg)
+    sel = select(X, pipe_cfg)
+    lam = fixed_lambda(sel.G_r, support_lambda(vech(sel.G_r), true_size))
+    return finish(replace(sel, lam=lam), pipe_cfg)

@@ -4,9 +4,10 @@ Subcommands: ``estimate`` (fit on a CSV data matrix), ``simulate``
 (generate a synthetic scenario), ``trace`` (export selection curves for
 plotting), and ``benchmark`` (replicated method comparison).
 
-Exit codes: 0 success, 1 argument/IO problems, 2 numerical failure (the
-message names the failing pipeline step). The environment variable
-BLOCKCOV_SEED is used as the seed when --seed is not given.
+Exit codes: 0 success, 1 argument/IO problems and input or configuration
+errors found by a pipeline step, 2 numerical failure. Both pipeline
+messages name the failing step. The environment variable BLOCKCOV_SEED is
+used as the seed when --seed is not given.
 """
 
 import argparse
@@ -18,14 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .benchmark import METHODS, BenchmarkConfig, run_benchmark, write_results
-from .corr import build_gamma, sample_correlation, vech
 from .io import read_matrix_csv, write_matrix_csv
-from .lowrank import scree, select_rank_cattell, select_rank_pa, truncate_rank
 from .permute import DISSIMILARITY_KINDS
-from .pipeline import PipelineConfig, PipelineError, estimate
-from .psd import ConvergenceError, PsdConfig
+from .pipeline import PipelineConfig, PipelineError, estimate, select
+from .psd import PsdConfig
 from .simulate import SCENARIOS, ScenarioSpec, build_scenario, permute_columns, sample_gaussian
-from .sparsify import candidate_lambdas, select_lambda_elbow
 
 SEED_ENV_VAR = "BLOCKCOV_SEED"
 
@@ -49,15 +47,20 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except PipelineError as exc:
+        cause = exc.__cause__
+        # LinAlgError subclasses ValueError but reports a numerical failure.
+        if isinstance(cause, ValueError) and not isinstance(cause, np.linalg.LinAlgError):
+            print(f"error: invalid input in step '{exc.step}': {cause}", file=sys.stderr)
+            return 1
+        print(f"numerical failure in step '{exc.step}': {cause}", file=sys.stderr)
+        return 2
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except PipelineError as exc:
-        print(f"numerical failure in step '{exc.step}': {exc}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
 
 
 def _build_parser():
@@ -196,7 +199,6 @@ def _cmd_estimate(args):
     if args.out_order:
         write_matrix_csv(args.out_order, est.permutation)
     if args.out_report:
-        eigvals = np.linalg.eigvalsh(est.sigma_hat)
         report = {
             "schema": "blockcov-report v1",
             "n": int(X.shape[0]),
@@ -206,8 +208,8 @@ def _cmd_estimate(args):
             "lambda": est.lam.lam,
             "lambda_method": est.lam.method,
             "support_size": est.lam.support_size,
-            "eigenvalue_min": float(eigvals[0]),
-            "eigenvalue_max": float(eigvals[-1]),
+            "eigenvalue_min": est.inv_sqrt.eig_min,
+            "eigenvalue_max": est.inv_sqrt.eig_max,
             "inv_sqrt_kept": est.inv_sqrt.kept,
             "inv_sqrt_dropped": est.inv_sqrt.dropped,
             "reordered": bool(args.reorder),
@@ -220,8 +222,6 @@ def _cmd_estimate(args):
 
 
 def _cmd_simulate(args):
-    if args.scenario not in SCENARIOS:
-        raise _UsageError(f"unknown scenario {args.scenario!r}; valid names: {', '.join(SCENARIOS)}")
     seed = _resolve_seed(args)
     truth = build_scenario(ScenarioSpec(args.scenario, args.q, seed=seed))
     X = sample_gaussian(truth, args.n, seed=seed)
@@ -242,37 +242,16 @@ def _cmd_simulate(args):
 
 def _cmd_trace(args):
     X, _ = read_matrix_csv(args.input, header=args.header)
-    seed = _resolve_seed(args)
-    rank_method = _parse_rank(args.rank)
-    R = sample_correlation(X)
-    G = build_gamma(R)
-    s = scree(G)
-    pa_quantile = None
-    if isinstance(rank_method, int):
-        r = rank_method
-    elif rank_method == "pa":
-        sel = select_rank_pa(X, seed=seed)
-        r = sel.r
-        pa_quantile = sel.trace["quantile_curve"]
-    else:
-        n, q = X.shape
-        sel = select_rank_cattell(s, r_max=max(2, min(n - 1, q - 2, 50)))
-        r = sel.r
+    sel = select(X, PipelineConfig(rank_method=_parse_rank(args.rank), seed=_resolve_seed(args)))
     if args.out_scree:
-        idx = np.arange(1, s.size + 1)
-        if pa_quantile is None:
-            write_matrix_csv(args.out_scree, np.column_stack([idx, s]),
-                             names=["index", "value"])
-        else:
-            write_matrix_csv(args.out_scree, np.column_stack([idx, s, pa_quantile]),
-                             names=["index", "value", "pa_quantile"])
+        columns, names = [np.arange(1, sel.scree.size + 1), sel.scree], ["index", "value"]
+        if sel.rank.method == "pa":
+            columns.append(sel.rank.trace["quantile_curve"])
+            names.append("pa_quantile")
+        write_matrix_csv(args.out_scree, np.column_stack(columns), names=names)
     if args.out_elbow:
-        G_r = truncate_rank(G, r)
-        grid = candidate_lambdas(vech(G_r))
-        sel = select_lambda_elbow(R, G_r, grid)
-        write_matrix_csv(args.out_elbow,
-                         np.column_stack([sel.trace["grid"], sel.trace["criterion"],
-                                          sel.trace["support_size"]]),
+        curve = [sel.lam.trace[k] for k in ("grid", "criterion", "support_size")]
+        write_matrix_csv(args.out_elbow, np.column_stack(curve),
                          names=["lambda", "criterion", "support_size"])
     return 0
 
@@ -283,9 +262,6 @@ def _cmd_benchmark(args):
         if s not in SCENARIOS:
             raise _UsageError(f"unknown scenario {s!r}; valid names: {', '.join(SCENARIOS)}")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    for m in methods:
-        if m not in METHODS:
-            raise _UsageError(f"unknown method {m!r}; valid names: {', '.join(METHODS)}")
     if args.reps < 1:
         raise _UsageError(f"--reps must be at least 1, got {args.reps}")
     if args.jobs < 1:

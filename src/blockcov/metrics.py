@@ -2,10 +2,6 @@
 
 import numpy as np
 
-from .psd import whitening_error  # re-exported for benchmark tables
-
-__all__ = ["frobenius_error", "support_confusion", "whitening_error"]
-
 
 def frobenius_error(A, B):
     """Frobenius norm of A - B."""

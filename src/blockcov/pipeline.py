@@ -1,10 +1,10 @@
 """End-to-end correlation estimation.
 
-Steps: optionally reorder the variables by a clustering leaf order so
-latent blocks become contiguous, approximate the off-diagonal arrangement
-at low rank, hard-threshold it at a data-driven sparsity level, repair
-positive definiteness, take the thresholded inverse square root, and map
-everything back to the original variable order.
+Two stages: ``select`` optionally reorders the variables by a clustering
+leaf order so latent blocks become contiguous, approximates the
+off-diagonal arrangement at low rank and picks a data-driven sparsity
+level; ``finish`` hard-thresholds at it, repairs positive definiteness,
+takes the thresholded inverse square root and restores the variable order.
 
 Two stock configurations mirror the selector pairings that matter in
 practice: cattell+elbow (fast, default) and pa+bl.
@@ -12,7 +12,7 @@ practice: cattell+elbow (fast, default) and pa+bl.
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +53,18 @@ class SelectionTrace:
 
 
 @dataclass
+class Selection:
+    """Output of ``select``; ``G_r`` is in the working (possibly reordered) order."""
+
+    permutation: np.ndarray
+    scree: np.ndarray
+    rank: RankSelection
+    G_r: np.ndarray
+    lam: LambdaSelection
+    timings: dict
+
+
+@dataclass
 class CorrelationEstimate:
     """Final estimate and everything produced on the way.
 
@@ -87,42 +99,42 @@ def _step(name, timings):
     start = time.perf_counter()
     try:
         yield
-    except PipelineError:
-        raise
     except Exception as exc:
         raise PipelineError(name, exc) from exc
     finally:
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
-def estimate(X, cfg=None):
-    """Run the full estimation pipeline on an n x q observation matrix."""
-    cfg = PipelineConfig() if cfg is None else cfg
+def fixed_lambda(G_r, value):
+    """Selection record of a caller-chosen threshold, with its support size."""
+    size = int(np.count_nonzero(hard_threshold(vech(G_r), value)))
+    return LambdaSelection(lam=float(value), method="fixed", support_size=size)
+
+
+def select(X, cfg):
+    """Selection stage: correlation, optional reordering, rank and threshold."""
     X = validate_observations(X)
     n, q = X.shape
     timings = {}
 
+    with _step("correlation", timings):
+        R = sample_correlation(X)
+
     perm = np.arange(q)
     with _step("reorder", timings):
         if cfg.reorder:
-            if cfg.dissimilarity_kind == "euclidean_columns":
-                d = dissimilarity(X, cfg.dissimilarity_kind)
-            else:
-                d = dissimilarity(sample_correlation(X), cfg.dissimilarity_kind)
-            perm = leaf_order(hclust_complete(d))
+            values = X if cfg.dissimilarity_kind == "euclidean_columns" else R
+            perm = leaf_order(hclust_complete(dissimilarity(values, cfg.dissimilarity_kind)))
             X = X[:, perm]
+            R = permute_matrix(R, perm)
 
     with _step("correlation", timings):
-        R = sample_correlation(X)
         G = build_gamma(R)
         s = scree(G)
 
     with _step("rank-selection", timings):
         if isinstance(cfg.rank_method, (int, np.integer)):
-            r = int(cfg.rank_method)
-            if not 1 <= r <= q - 1:
-                raise ValueError(f"fixed rank must be in [1, {q - 1}], got {r}")
-            rank = RankSelection(r=r, method="fixed")
+            rank = RankSelection(r=int(cfg.rank_method), method="fixed")
         elif cfg.rank_method == "cattell":
             r_max = cfg.r_max if cfg.r_max is not None else max(2, min(n - 1, q - 2, 50))
             rank = select_rank_cattell(s, r_max=r_max)
@@ -143,12 +155,18 @@ def estimate(X, cfg=None):
             else:
                 raise ValueError(f"unknown lambda method {cfg.lambda_method!r}")
         else:
-            value = float(cfg.lambda_method)
-            if value < 0:
-                raise ValueError(f"fixed lambda must be non-negative, got {value}")
-            size = int(np.count_nonzero(hard_threshold(vech(G_r), value)))
-            lam = LambdaSelection(lam=value, method="fixed", support_size=size)
-        S_tilde = sparse_sigma(G_r, lam.lam, q)
+            lam = fixed_lambda(G_r, cfg.lambda_method)
+
+    return Selection(permutation=perm, scree=s, rank=rank, G_r=G_r, lam=lam, timings=timings)
+
+
+def finish(sel, cfg):
+    """Finishing stage: threshold, PSD projection, inverse root, original order."""
+    perm = sel.permutation
+    timings = dict(sel.timings)
+
+    with _step("lambda-selection", timings):
+        S_tilde = sparse_sigma(sel.G_r, sel.lam.lam, perm.size)
 
     with _step("psd-projection", timings):
         S_hat = nearest_correlation(S_tilde, cfg.psd)
@@ -163,16 +181,24 @@ def estimate(X, cfg=None):
             S_hat = permute_matrix(S_hat, perm, inverse=True)
             S_tilde = permute_matrix(S_tilde, perm, inverse=True)
             if W is not None:
-                W = InvSqrtResult(matrix=permute_matrix(W.matrix, perm, inverse=True),
-                                  kept=W.kept, dropped=W.dropped)
+                W = replace(W, matrix=permute_matrix(W.matrix, perm, inverse=True))
         support = S_tilde != 0.0
         np.fill_diagonal(support, False)
 
+    # BL counts its support on its own truncation, which under reordering can
+    # differ from G_r by a tie at the threshold; report the estimate's support.
+    lam = replace(sel.lam, support_size=int(support.sum()) // 2)
     return CorrelationEstimate(
         sigma_hat=S_hat, sigma_tilde=S_tilde, support=support,
-        rank=rank, lam=lam, permutation=perm,
-        trace=SelectionTrace(scree=s, rank=rank.trace, lam=lam.trace),
+        rank=sel.rank, lam=lam, permutation=perm,
+        trace=SelectionTrace(scree=sel.scree, rank=sel.rank.trace, lam=lam.trace),
         inv_sqrt=W, timings=timings)
+
+
+def estimate(X, cfg=None):
+    """Run the full estimation pipeline on an n x q observation matrix."""
+    cfg = PipelineConfig() if cfg is None else cfg
+    return finish(select(X, cfg), cfg)
 
 
 def whiten(X, est):

@@ -42,6 +42,8 @@ class InvSqrtResult:
     matrix: np.ndarray
     kept: int
     dropped: int
+    eig_min: float  # extreme eigenvalues of the input, from the same decomposition
+    eig_max: float
 
 
 class ConvergenceError(RuntimeError):
@@ -130,7 +132,8 @@ def inv_sqrt(S, t):
     inv[keep] = 1.0 / np.sqrt(w[keep])
     W = (V * inv) @ V.T
     W = (W + W.T) / 2
-    return InvSqrtResult(matrix=W, kept=int(keep.sum()), dropped=int((~keep).sum()))
+    return InvSqrtResult(matrix=W, kept=int(keep.sum()), dropped=int((~keep).sum()),
+                         eig_min=float(w[0]), eig_max=float(w[-1]))
 
 
 def whitening_error(W, Sigma):

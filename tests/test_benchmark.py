@@ -3,7 +3,10 @@ import csv
 import numpy as np
 import pytest
 
+import blockcov.benchmark
+import blockcov.pipeline
 from blockcov.benchmark import METHODS, BenchmarkConfig, run_benchmark, write_results
+from blockcov.permute import hclust_complete
 
 
 def read_results(path):
@@ -31,13 +34,29 @@ def test_unknown_method_rejected():
         run_benchmark(cfg)
 
 
-def test_blocks_real_perfect_support_on_equal_scenario():
+@pytest.mark.parametrize("scrambled", [False, True])
+def test_blocks_real_perfect_support_on_equal_scenario(scrambled):
     cfg = BenchmarkConfig(scenarios=("diagonal-equal",), n_list=(50,), q_list=(30,),
-                          reps=2, methods=("blocks_real",), seed=0)
+                          reps=2, methods=("blocks_real",), seed=0,
+                          permute_columns=scrambled, reorder=scrambled)
     rows = run_benchmark(cfg)
     for row in rows:
         assert row["tpr"] == 1.0
         assert row["fpr"] == 0.0
+
+
+def test_blocks_real_clusters_once_per_cell(monkeypatch):
+    calls = []
+
+    def counting(d):
+        calls.append(d.shape)
+        return hclust_complete(d)
+    monkeypatch.setattr(blockcov.benchmark, "hclust_complete", counting)
+    monkeypatch.setattr(blockcov.pipeline, "hclust_complete", counting)
+    run_benchmark(BenchmarkConfig(scenarios=("diagonal-equal",), n_list=(30,), q_list=(20,),
+                                  methods=("blocks_real",), permute_columns=True,
+                                  reorder=True))
+    assert calls == [(20, 20)]
 
 
 def test_deterministic_across_worker_counts():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from blockcov.cli import main
-from blockcov.io import read_matrix_csv
+from blockcov.io import read_matrix_csv, write_matrix_csv
+from blockcov.pipeline import PipelineConfig, estimate
 
 
 def run(args):
@@ -101,6 +102,48 @@ class TestEstimateCommand:
         assert code == 2
         assert "psd-projection" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, shape, flags, step", [
+        ("estimate", (50, 100), ["--rank", 500], "rank-selection"),
+        ("trace", (50, 100), ["--rank", 500], "rank-selection"),
+        ("estimate", (20, 4), [], "rank-selection"),
+        ("estimate", (3, 20), ["--lambda", "bl"], "lambda-selection"),
+        ("estimate", (30, 20), ["--inv-sqrt-threshold", -1], "inverse-square-root"),
+    ], ids=["rank-above-q", "trace-rank-above-q", "q4-scree-too-short", "bl-on-n3",
+            "negative-inv-sqrt-threshold"])
+    def test_invalid_input_exits_one_naming_step(self, tmp_path, capsys, command, shape,
+                                                 flags, step):
+        x = tmp_path / "X.csv"
+        write_matrix_csv(x, np.random.default_rng(0).standard_normal(shape))
+        assert run([command, "--input", x, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid input in step '{step}': ")
+        assert "failed" not in err
+
+    def test_linalg_error_in_psd_exits_two(self, tmp_path, capsys, monkeypatch):
+        x, _, _ = simulate_files(tmp_path, q=20, n=30, seed=4)
+        eigh = np.linalg.eigh
+
+        def failing_on_q_by_q(A):
+            # the (q-1) x (q-1) arrangement still decomposes; the 20 x 20 matrix does not
+            if np.shape(A) == (20, 20):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(A)
+        monkeypatch.setattr(np.linalg, "eigh", failing_on_q_by_q)
+        assert run(["estimate", "--input", x]) == 2
+        assert capsys.readouterr().err.startswith(
+            "numerical failure in step 'psd-projection': Eigenvalues did not converge")
+
+    def test_report_eigenvalue_extremes_match_the_estimate(self, tmp_path):
+        x, _, _ = simulate_files(tmp_path, q=40, n=20, seed=8, extra=["--permute-columns"])
+        report = tmp_path / "report.json"
+        sigma_out = tmp_path / "sigma_hat.csv"
+        assert run(["estimate", "--input", x, "--reorder", "--out-report", report,
+                    "--out-sigma", sigma_out]) == 0
+        data = json.loads(report.read_text())
+        eigvals = np.linalg.eigvalsh(read_matrix_csv(sigma_out)[0])
+        assert abs(data["eigenvalue_min"] - eigvals[0]) <= 1e-10
+        assert abs(data["eigenvalue_max"] - eigvals[-1]) <= 1e-10
+
     def test_fixed_parameters(self, tmp_path):
         x, _, _ = simulate_files(tmp_path, q=20, n=30, seed=4)
         report = tmp_path / "report.json"
@@ -158,6 +201,24 @@ class TestTraceCommand:
         assert code == 0
         _, names = read_matrix_csv(scree_path, header=True)
         assert names == ["index", "value", "pa_quantile"]
+
+    @pytest.mark.parametrize("rank", ["cattell", "pa", 5])
+    def test_curves_are_the_pipeline_selection(self, tmp_path, rank):
+        x, _, _ = simulate_files(tmp_path, q=30, n=20, seed=5)
+        scree_path = tmp_path / "scree.csv"
+        elbow_path = tmp_path / "elbow.csv"
+        assert run(["trace", "--input", x, "--rank", rank, "--seed", 3,
+                    "--out-scree", scree_path, "--out-elbow", elbow_path]) == 0
+        est = estimate(read_matrix_csv(x)[0], PipelineConfig(rank_method=rank, seed=3))
+        scree, _ = read_matrix_csv(scree_path, header=True)
+        assert np.array_equal(scree[:, 1], est.trace.scree)
+        if rank == "pa":
+            assert np.array_equal(scree[:, 2], est.rank.trace["quantile_curve"])
+        elbow, _ = read_matrix_csv(elbow_path, header=True)
+        curve = est.lam.trace
+        assert np.array_equal(elbow, np.column_stack([curve["grid"], curve["criterion"],
+                                                      curve["support_size"]]))
+        assert est.lam.lam in elbow[:, 0]
 
     def test_help_documents_columns(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -69,6 +69,17 @@ class TestEstimate:
         assert not np.array_equal(est.permutation, np.arange(60))
         assert np.array_equal(np.sort(est.permutation), np.arange(60))
 
+    def test_reported_support_size_is_the_estimates_under_reorder(self):
+        # BL counts its support on its own full-data truncation, which under
+        # reordering differs from the pipeline's G_r in the last bits; on this
+        # input that moves one entry across the selected threshold.
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=7))
+        X, _ = permute_columns(sample_gaussian(truth, 20, seed=7), seed=7)
+        cfg = PipelineConfig(rank_method=5, lambda_method="bl", reorder=True, bl_splits=5,
+                             seed=7)
+        est = estimate(X, cfg)
+        assert int(est.support.sum()) // 2 == est.lam.support_size
+
     def test_fixed_parameter_validation(self):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((10, 5))
