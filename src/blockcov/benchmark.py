@@ -9,7 +9,7 @@ the whitening error of the thresholded inverse square root.
 
 import csv
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 from ._rng import STREAM_BENCH, derive_seed
@@ -18,7 +18,7 @@ from .corr import sample_correlation, vech
 from .metrics import frobenius_error, support_confusion
 from .permute import cut_tree, dissimilarity, hclust_complete, permute_matrix
 from .pipeline import PipelineConfig, estimate, finish, fixed_lambda, select
-from .psd import PsdConfig, inv_sqrt, whitening_error
+from .psd import inv_sqrt, whitening_error
 from .simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 from .sparsify import support_lambda
 
@@ -39,11 +39,9 @@ class BenchmarkConfig:
     reps: int = 1
     methods: tuple = METHODS
     seed: int = 0
-    inv_sqrt_threshold: float = 0.1
+    inv_sqrt_threshold: float = PipelineConfig.inv_sqrt_threshold
     permute_columns: bool = False
     reorder: bool = False
-    dissimilarity_kind: str = "one_minus_abs_corr"
-    psd: PsdConfig = field(default_factory=PsdConfig)
     jobs: int = 1
 
 
@@ -107,8 +105,7 @@ def _run_cell(task):
             S_final, S_support, W = est.sigma_hat, est.sigma_tilde, est.inv_sqrt.matrix
             rank_val, lam_val, size_val = est.rank.r, est.lam.lam, est.lam.support_size
         elif method == "hclust":
-            labels = cut_tree(hclust_complete(dissimilarity(R, cfg.dissimilarity_kind)),
-                              TRUE_CLUSTERS)
+            labels = cut_tree(hclust_complete(dissimilarity(R)), TRUE_CLUSTERS)
             S_final = S_support = block_constant_estimator(R, labels)
             W = inv_sqrt(S_final, cfg.inv_sqrt_threshold).matrix
         elif method == "kmeans":
@@ -137,9 +134,7 @@ def _run_pipeline(method, X, true_size, cfg, si, q, n, rep):
     else:  # blocks_real: true rank, threshold matched to the true support size below
         rank_method, lambda_method = TRUE_CLUSTERS, 0.0
     pipe_cfg = PipelineConfig(rank_method=rank_method, lambda_method=lambda_method,
-                              reorder=cfg.reorder,
-                              dissimilarity_kind=cfg.dissimilarity_kind,
-                              psd=cfg.psd, inv_sqrt_threshold=cfg.inv_sqrt_threshold,
+                              reorder=cfg.reorder, inv_sqrt_threshold=cfg.inv_sqrt_threshold,
                               seed=seed)
     if method != "blocks_real":
         return estimate(X, pipe_cfg)

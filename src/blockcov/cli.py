@@ -66,6 +66,7 @@ def main(argv=None):
 def _build_parser():
     parser = _Parser(prog="blockcov",
                      description="Block-structured sparse correlation estimation.")
+    defaults = PipelineConfig()
     sub = parser.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", parents=[_common_seed()],
@@ -73,19 +74,18 @@ def _build_parser():
     est.add_argument("--input", required=True, help="CSV with one sample per row")
     est.add_argument("--header", action="store_true",
                      help="first input row holds variable names")
-    est.add_argument("--rank", default="cattell",
+    est.add_argument("--rank", default=defaults.rank_method,
                      help="rank selection: 'cattell', 'pa', or a fixed integer")
-    est.add_argument("--lambda", dest="lam", default="elbow",
+    est.add_argument("--lambda", dest="lam", default=defaults.lambda_method,
                      help="threshold selection: 'elbow', 'bl', or a fixed value")
     est.add_argument("--reorder", action="store_true",
                      help="cluster variables first and estimate in leaf order")
-    est.add_argument("--dissimilarity", default="one_minus_abs_corr",
+    est.add_argument("--dissimilarity", default=defaults.dissimilarity_kind,
                      choices=DISSIMILARITY_KINDS)
-    psd_defaults = PsdConfig()
-    est.add_argument("--inv-sqrt-threshold", type=float, default=0.1,
+    est.add_argument("--inv-sqrt-threshold", type=float, default=defaults.inv_sqrt_threshold,
                      help="eigenvalues at most this are dropped from the inverse square root")
-    est.add_argument("--psd-tol", type=float, default=psd_defaults.tol)
-    est.add_argument("--psd-max-iter", type=int, default=psd_defaults.max_iter)
+    est.add_argument("--psd-tol", type=float, default=defaults.psd.tol)
+    est.add_argument("--psd-max-iter", type=int, default=defaults.psd.max_iter)
     est.add_argument("--out-sigma", help="write the estimated matrix here (CSV)")
     est.add_argument("--out-invsqrt", help="write the inverse square root here (CSV)")
     est.add_argument("--out-order", help="write the clustering leaf order used by "
@@ -111,7 +111,7 @@ def _build_parser():
                          help="export selection diagnostics for plotting")
     tra.add_argument("--input", required=True, help="CSV with one sample per row")
     tra.add_argument("--header", action="store_true")
-    tra.add_argument("--rank", default="cattell",
+    tra.add_argument("--rank", default=defaults.rank_method,
                      help="rank used for the threshold curve: 'cattell', 'pa', or an integer")
     tra.add_argument("--out-scree",
                      help="scree curve CSV: index,value[,pa_quantile with --rank pa]")
@@ -132,7 +132,7 @@ def _build_parser():
                      help="scramble the columns of every generated data matrix")
     ben.add_argument("--reorder", action="store_true",
                      help="let the pipeline methods recover the ordering by clustering")
-    ben.add_argument("--inv-sqrt-threshold", type=float, default=0.1)
+    ben.add_argument("--inv-sqrt-threshold", type=float, default=defaults.inv_sqrt_threshold)
     ben.add_argument("--jobs", type=int, default=1, help="parallel worker count")
     ben.add_argument("--out", required=True, help="results CSV path")
     ben.set_defaults(func=_cmd_benchmark)

@@ -35,6 +35,16 @@ def scree(G):
     return np.sort(np.abs(w))[::-1]
 
 
+def check_rank(r, m):
+    if not 1 <= r <= m:
+        raise ValueError(f"rank must be in [1, {m}], got {r}")
+
+
+def check_scree_size(size):
+    if size < 4:
+        raise ValueError(f"need at least 4 scree values, got {size}")
+
+
 def truncate_rank(G, r):
     """Frobenius-optimal approximation of symmetric ``G`` with rank <= r.
 
@@ -43,9 +53,7 @@ def truncate_rank(G, r):
     re-symmetrized to remove round-off asymmetry.
     """
     G = np.asarray(G, dtype=float)
-    m = G.shape[0]
-    if not 1 <= r <= m:
-        raise ValueError(f"rank must be in [1, {m}], got {r}")
+    check_rank(r, G.shape[0])
     w, V = np.linalg.eigh(G)
     keep = np.argsort(np.abs(w))[::-1][:r]
     Vk = V[:, keep]
@@ -53,7 +61,7 @@ def truncate_rank(G, r):
     return (Gr + Gr.T) / 2
 
 
-def select_rank_cattell(s, r_max=None):
+def select_rank_cattell(s, r_max):
     """Scree-elbow rank choice by an exhaustive two-line fit scan.
 
     For every candidate rank b, one line is fit to the scree values at
@@ -63,10 +71,7 @@ def select_rank_cattell(s, r_max=None):
     with the smallest total residual wins; ties go to the smallest rank.
     """
     s = np.asarray(s, dtype=float)
-    if s.size < 4:
-        raise ValueError(f"need at least 4 scree values, got {s.size}")
-    if r_max is None:
-        r_max = min(s.size - 1, 50)
+    check_scree_size(s.size)
     if not 2 <= r_max <= s.size - 1:
         raise ValueError(f"r_max must be in [2, {s.size - 1}], got {r_max}")
     window = min(3 * r_max, s.size)
@@ -77,16 +82,17 @@ def select_rank_cattell(s, r_max=None):
                          trace={"scree": s, "candidates": candidates, "rss": rss})
 
 
-def select_rank_pa(X, n_perm=50, quantile=0.95, seed=0):
+def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
     """Parallel-analysis rank choice.
 
-    Each replicate permutes the entries of every column of ``X``
-    independently and recomputes the scree of the off-diagonal
-    arrangement. A component is retained while its observed value exceeds
-    the per-index empirical quantile of the permuted values; retention
-    stops at the first failure and at least rank 1 is returned. Replicates
-    draw from independent substreams of ``seed``, so the result is
-    bit-reproducible and independent of evaluation order.
+    ``s`` is the observed scree of ``X``: ``scree(build_gamma(R))`` for
+    its sample correlation ``R``. Each replicate permutes the entries of
+    every column of ``X`` independently and recomputes the scree of the
+    off-diagonal arrangement. A component is retained while its observed
+    value exceeds the per-index empirical quantile of the permuted values;
+    retention stops at the first failure and at least rank 1 is returned.
+    Replicates draw from independent substreams of ``seed``, so the result
+    is bit-reproducible and independent of evaluation order.
     """
     X = validate_observations(X)
     if n_perm < 1:
@@ -94,7 +100,9 @@ def select_rank_pa(X, n_perm=50, quantile=0.95, seed=0):
     if not 0 < quantile <= 1:
         raise ValueError(f"quantile must be in (0, 1], got {quantile}")
     n, q = X.shape
-    observed = scree(build_gamma(sample_correlation(X)))
+    observed = np.asarray(s, dtype=float)
+    if observed.shape != (q - 1,):
+        raise ValueError(f"expected {q - 1} scree values for q={q}, got shape {observed.shape}")
     permuted = np.empty((n_perm, q - 1))
     for b in range(n_perm):
         rng = substream(seed, STREAM_PA, b)

@@ -17,10 +17,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .corr import build_gamma, sample_correlation, validate_observations, vech
-from .lowrank import RankSelection, scree, select_rank_cattell, select_rank_pa, truncate_rank
+from .lowrank import (RankSelection, check_rank, check_scree_size, scree, select_rank_cattell,
+                      select_rank_pa, truncate_rank)
 from .permute import dissimilarity, hclust_complete, leaf_order, permute_matrix
-from .psd import InvSqrtResult, PsdConfig, inv_sqrt, nearest_correlation
-from .sparsify import (LambdaSelection, candidate_lambdas, hard_threshold,
+from .psd import InvSqrtResult, PsdConfig, check_threshold, inv_sqrt, nearest_correlation
+from .sparsify import (LambdaSelection, candidate_lambdas, check_cv_samples, hard_threshold,
                        select_lambda_bl, select_lambda_elbow, sparse_sigma)
 
 
@@ -34,22 +35,9 @@ class PipelineConfig:
     dissimilarity_kind: str = "one_minus_abs_corr"
     psd: PsdConfig = field(default_factory=PsdConfig)
     inv_sqrt_threshold: float = 0.1
-    compute_inv_sqrt: bool = True
     seed: int = 0
-    r_max: int | None = None             # cattell scan limit; default min(n-1, q-2, 50)
     pa_permutations: int = 50
-    pa_quantile: float = 0.95
-    lambda_max_grid: int = 100
     bl_splits: int = 50
-
-
-@dataclass
-class SelectionTrace:
-    """Curves recorded during parameter selection, for diagnostics export."""
-
-    scree: np.ndarray
-    rank: dict
-    lam: dict
 
 
 @dataclass
@@ -72,7 +60,8 @@ class CorrelationEstimate:
     sparse pre-projection matrix whose exact zeros define ``support``
     (strictly off-diagonal, symmetric). All matrices are in the original
     variable order; ``permutation`` records the reordering used
-    internally (identity when reordering is off).
+    internally (identity when reordering is off) and ``scree`` the
+    spectrum the rank was chosen from, in the working order.
     """
 
     sigma_hat: np.ndarray
@@ -81,8 +70,8 @@ class CorrelationEstimate:
     rank: RankSelection
     lam: LambdaSelection
     permutation: np.ndarray
-    trace: SelectionTrace
-    inv_sqrt: InvSqrtResult | None = None
+    scree: np.ndarray
+    inv_sqrt: InvSqrtResult
     timings: dict = field(default_factory=dict)
 
 
@@ -111,10 +100,25 @@ def fixed_lambda(G_r, value):
     return LambdaSelection(lam=float(value), method="fixed", support_size=size)
 
 
+def _check_up_front(n, q, cfg):
+    """Apply the size and threshold rules of later steps before any numerical work."""
+    with _step("rank-selection", {}):
+        if isinstance(cfg.rank_method, (int, np.integer)):
+            check_rank(cfg.rank_method, q - 1)
+        elif cfg.rank_method == "cattell":
+            check_scree_size(q - 1)
+    with _step("lambda-selection", {}):
+        if cfg.lambda_method == "bl":
+            check_cv_samples(n)
+    with _step("inverse-square-root", {}):
+        check_threshold(cfg.inv_sqrt_threshold)
+
+
 def select(X, cfg):
     """Selection stage: correlation, optional reordering, rank and threshold."""
     X = validate_observations(X)
     n, q = X.shape
+    _check_up_front(n, q, cfg)
     timings = {}
 
     with _step("correlation", timings):
@@ -136,20 +140,18 @@ def select(X, cfg):
         if isinstance(cfg.rank_method, (int, np.integer)):
             rank = RankSelection(r=int(cfg.rank_method), method="fixed")
         elif cfg.rank_method == "cattell":
-            r_max = cfg.r_max if cfg.r_max is not None else max(2, min(n - 1, q - 2, 50))
-            rank = select_rank_cattell(s, r_max=r_max)
+            rank = select_rank_cattell(s, r_max=max(2, min(n - 1, q - 2, 50)))
         elif cfg.rank_method == "pa":
-            rank = select_rank_pa(X, n_perm=cfg.pa_permutations,
-                                  quantile=cfg.pa_quantile, seed=cfg.seed)
+            rank = select_rank_pa(X, s, n_perm=cfg.pa_permutations, seed=cfg.seed)
         else:
             raise ValueError(f"unknown rank method {cfg.rank_method!r}")
         G_r = truncate_rank(G, rank.r)
 
     with _step("lambda-selection", timings):
         if isinstance(cfg.lambda_method, str):
-            grid = candidate_lambdas(vech(G_r), cfg.lambda_max_grid)
+            grid = candidate_lambdas(vech(G_r))
             if cfg.lambda_method == "elbow":
-                lam = select_lambda_elbow(R, G_r, grid)
+                lam = select_lambda_elbow(G, G_r, grid)
             elif cfg.lambda_method == "bl":
                 lam = select_lambda_bl(X, rank.r, grid, n_splits=cfg.bl_splits, seed=cfg.seed)
             else:
@@ -171,17 +173,14 @@ def finish(sel, cfg):
     with _step("psd-projection", timings):
         S_hat = nearest_correlation(S_tilde, cfg.psd)
 
-    W = None
     with _step("inverse-square-root", timings):
-        if cfg.compute_inv_sqrt:
-            W = inv_sqrt(S_hat, cfg.inv_sqrt_threshold)
+        W = inv_sqrt(S_hat, cfg.inv_sqrt_threshold)
 
     with _step("back-permutation", timings):
         if cfg.reorder:
             S_hat = permute_matrix(S_hat, perm, inverse=True)
             S_tilde = permute_matrix(S_tilde, perm, inverse=True)
-            if W is not None:
-                W = replace(W, matrix=permute_matrix(W.matrix, perm, inverse=True))
+            W = replace(W, matrix=permute_matrix(W.matrix, perm, inverse=True))
         support = S_tilde != 0.0
         np.fill_diagonal(support, False)
 
@@ -190,8 +189,7 @@ def finish(sel, cfg):
     lam = replace(sel.lam, support_size=int(support.sum()) // 2)
     return CorrelationEstimate(
         sigma_hat=S_hat, sigma_tilde=S_tilde, support=support,
-        rank=sel.rank, lam=lam, permutation=perm,
-        trace=SelectionTrace(scree=sel.scree, rank=sel.rank.trace, lam=lam.trace),
+        rank=sel.rank, lam=lam, permutation=perm, scree=sel.scree,
         inv_sqrt=W, timings=timings)
 
 
@@ -203,8 +201,6 @@ def estimate(X, cfg=None):
 
 def whiten(X, est):
     """Decorrelate the rows of ``X`` with the estimated inverse square root."""
-    if est.inv_sqrt is None:
-        raise ValueError("estimate has no inverse square root; rerun with compute_inv_sqrt=True")
     X = np.asarray(X, dtype=float)
     q = est.inv_sqrt.matrix.shape[0]
     if X.ndim != 2 or X.shape[1] != q:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+EIG_FLOOR = 1e-8  # smallest eigenvalue of a projection, relative to the largest
+
 
 @dataclass
 class PsdConfig:
@@ -24,15 +26,12 @@ class PsdConfig:
 
     tol: float = 1e-7
     max_iter: int = 400
-    eig_floor: float = 1e-8
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.eig_floor < 0:
-            raise ValueError(f"eig_floor must be non-negative, got {self.eig_floor}")
 
 
 @dataclass
@@ -79,7 +78,7 @@ def nearest_correlation(A, cfg=None, callback=None):
     unit-diagonal matrices until the relative Frobenius change of the
     iterate drops to ``cfg.tol``; hitting ``cfg.max_iter`` first raises
     ConvergenceError. Afterwards the eigenvalues are floored at
-    ``cfg.eig_floor`` times the largest one and the result is rescaled to
+    ``EIG_FLOOR`` times the largest one and the result is rescaled to
     an exactly-unit diagonal, so it is strictly positive definite and safe
     to eigendecompose downstream. ``callback``, when given, is invoked
     with each iterate (testing hook).
@@ -108,13 +107,18 @@ def nearest_correlation(A, cfg=None, callback=None):
             f"iterations (relative change {change:.3e}, tolerance {cfg.tol:.3e})",
             last_iterate=Y, change=change)
     w, V = np.linalg.eigh(Y)
-    np.maximum(w, cfg.eig_floor * w[-1], out=w)
+    np.maximum(w, EIG_FLOOR * w[-1], out=w)
     M = (V * w) @ V.T
     M = (M + M.T) / 2
     d = np.sqrt(np.clip(np.diag(M), np.finfo(float).tiny, None))
     M /= np.outer(d, d)
     np.fill_diagonal(M, 1.0)
     return M
+
+
+def check_threshold(t):
+    if t < 0:
+        raise ValueError(f"threshold must be non-negative, got {t}")
 
 
 def inv_sqrt(S, t):
@@ -124,8 +128,7 @@ def inv_sqrt(S, t):
     nothing. ``kept`` and ``dropped`` count the two groups.
     """
     S = _check_square(S, "input")
-    if t < 0:
-        raise ValueError(f"threshold must be non-negative, got {t}")
+    check_threshold(t)
     w, V = np.linalg.eigh(S)
     keep = w > t
     inv = np.zeros_like(w)

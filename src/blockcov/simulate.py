@@ -31,16 +31,11 @@ EXTRA_LOADING = -0.5
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Which scenario to build, at which size, with which seed.
-
-    ``unequal_per_column`` draws one loading per column instead of one per
-    entry in the unequal scenarios.
-    """
+    """Which scenario to build, at which size, with which seed."""
 
     kind: str
     q: int
     seed: int = 0
-    unequal_per_column: bool = False
 
     def __post_init__(self):
         if self.kind not in SCENARIOS:
@@ -88,10 +83,7 @@ def build_scenario(spec):
         rows = slice(int(starts[c]), int(starts[c]) + sizes[c])
         if unequal:
             low, high = UNEQUAL_RANGES[c]
-            if spec.unequal_per_column:
-                Z[rows, c] = rng.uniform(low, high)
-            else:
-                Z[rows, c] = rng.uniform(low, high, size=sizes[c])
+            Z[rows, c] = rng.uniform(low, high, size=sizes[c])
         else:
             Z[rows, c] = EQUAL_LOADINGS[c]
     if spec.kind.startswith("extra-diagonal"):

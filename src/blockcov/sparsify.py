@@ -114,12 +114,13 @@ def _criterion_curve(rvec, y, grid):
     return curve, support
 
 
-def select_lambda_elbow(R, G_r, grid):
+def select_lambda_elbow(G, G_r, grid):
     """Threshold at the kink of lambda -> ||R - Sigma~(lambda)||_F.
 
-    The curve is evaluated on the grid and, for every interior breakpoint
-    of the (grid index, criterion) points, one line is fit to each side
-    (the breakpoint itself belongs to both). The grid value at the best
+    ``G`` is ``build_gamma(R)`` and ``G_r`` its rank truncation. The curve
+    is evaluated on the grid and, for every interior breakpoint of the
+    (grid index, criterion) points, one line is fit to each side (the
+    breakpoint itself belongs to both). The grid value at the best
     breakpoint is returned; ties go to the smaller index.
     """
     grid = np.asarray(grid, dtype=float)
@@ -127,8 +128,7 @@ def select_lambda_elbow(R, G_r, grid):
         raise ValueError(f"grid needs at least 4 points, got {grid.size}")
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be ascending")
-    R = np.asarray(R, dtype=float)
-    rvec = vech(build_gamma(R))
+    rvec = vech(np.asarray(G, dtype=float))
     y = vech(np.asarray(G_r, dtype=float))
     curve, support = _criterion_curve(rvec, y, grid)
     breaks = np.arange(1, grid.size - 1)
@@ -143,6 +143,11 @@ def select_lambda_elbow(R, G_r, grid):
 def default_train_size(n):
     """Training-part size for the cross-validation selector: round(n(1 - 1/log n))."""
     return int(round(n * (1.0 - 1.0 / math.log(n))))
+
+
+def check_cv_samples(n):
+    if n < 4:
+        raise ValueError(f"need at least 4 samples for cross-validation, got {n}")
 
 
 def select_lambda_bl(X, r, grid, n_splits=50, train_size=None, seed=0, splits=None):
@@ -162,8 +167,7 @@ def select_lambda_bl(X, r, grid, n_splits=50, train_size=None, seed=0, splits=No
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("empty threshold grid")
-    if n < 4:
-        raise ValueError(f"need at least 4 samples for cross-validation, got {n}")
+    check_cv_samples(n)
     if splits is None:
         if n_splits < 1:
             raise ValueError(f"n_splits must be at least 1, got {n_splits}")

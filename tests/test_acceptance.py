@@ -39,7 +39,7 @@ def test_01_rank_recovery_at_scale():
     truth, X = scenario_data("extra-diagonal-unequal", 500, 30, seed=0)
     s = scree(build_gamma(sample_correlation(X)))
     r_cattell = select_rank_cattell(s, r_max=29).r
-    r_pa = select_rank_pa(X, seed=0).r
+    r_pa = select_rank_pa(X, s, seed=0).r
     elapsed = time.perf_counter() - t0
     ok = r_cattell == 5 and r_pa == 5 and elapsed <= 60
     report("1 rank recovery q=500 n=30", ok,
@@ -57,7 +57,7 @@ def test_02_rank_stability_small_scale():
             truth, X = scenario_data(kind, 100, 30, seed=rep)
             s = scree(build_gamma(sample_correlation(X)))
             hits_cattell += select_rank_cattell(s, r_max=29).r == 5
-            hits_pa += select_rank_pa(X, seed=rep).r == 5
+            hits_pa += select_rank_pa(X, s, seed=rep).r == 5
         ok = ok and hits_pa >= 16 and hits_cattell >= 14
         detail.append(f"{kind}: cattell {hits_cattell}/20 pa {hits_pa}/20")
     elapsed = time.perf_counter() - t0

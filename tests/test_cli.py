@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import blockcov.pipeline
 from blockcov.cli import main
+from blockcov.corr import sample_correlation
 from blockcov.io import read_matrix_csv, write_matrix_csv
 from blockcov.pipeline import PipelineConfig, estimate
 
@@ -110,14 +112,18 @@ class TestEstimateCommand:
         ("estimate", (30, 20), ["--inv-sqrt-threshold", -1], "inverse-square-root"),
     ], ids=["rank-above-q", "trace-rank-above-q", "q4-scree-too-short", "bl-on-n3",
             "negative-inv-sqrt-threshold"])
-    def test_invalid_input_exits_one_naming_step(self, tmp_path, capsys, command, shape,
-                                                 flags, step):
+    def test_invalid_input_exits_one_naming_step(self, tmp_path, capsys, monkeypatch, command,
+                                                 shape, flags, step):
         x = tmp_path / "X.csv"
         write_matrix_csv(x, np.random.default_rng(0).standard_normal(shape))
+        correlations = []
+        monkeypatch.setattr(blockcov.pipeline, "sample_correlation",
+                            lambda X: correlations.append(X) or sample_correlation(X))
         assert run([command, "--input", x, *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: invalid input in step '{step}': ")
         assert "failed" not in err
+        assert correlations == []  # rejected before any numerical work
 
     def test_linalg_error_in_psd_exits_two(self, tmp_path, capsys, monkeypatch):
         x, _, _ = simulate_files(tmp_path, q=20, n=30, seed=4)
@@ -211,7 +217,7 @@ class TestTraceCommand:
                     "--out-scree", scree_path, "--out-elbow", elbow_path]) == 0
         est = estimate(read_matrix_csv(x)[0], PipelineConfig(rank_method=rank, seed=3))
         scree, _ = read_matrix_csv(scree_path, header=True)
-        assert np.array_equal(scree[:, 1], est.trace.scree)
+        assert np.array_equal(scree[:, 1], est.scree)
         if rank == "pa":
             assert np.array_equal(scree[:, 2], est.rank.trace["quantile_curve"])
         elbow, _ = read_matrix_csv(elbow_path, header=True)

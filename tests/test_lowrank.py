@@ -6,6 +6,10 @@ from blockcov.corr import build_gamma, sample_correlation
 from blockcov.lowrank import scree, select_rank_cattell, select_rank_pa, truncate_rank
 
 
+def observed_scree(X):
+    return scree(build_gamma(sample_correlation(X)))
+
+
 def lstsq_line_rss(x, y):
     if len(y) < 2:
         return 0.0
@@ -151,7 +155,7 @@ class TestSelectRankPA:
     def test_independent_columns_match_reference(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((20, 12))
-        sel = select_rank_pa(X, n_perm=20, quantile=0.95, seed=11)
+        sel = select_rank_pa(X, observed_scree(X), n_perm=20, quantile=0.95, seed=11)
         ref_r, ref_curve = pa_reference(X, 20, 0.95, 11)
         assert sel.r == ref_r
         assert np.allclose(sel.trace["quantile_curve"], ref_curve, atol=1e-10)
@@ -163,7 +167,7 @@ class TestSelectRankPA:
     def test_degenerate_single_permutation(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((10, 6))
-        sel = select_rank_pa(X, n_perm=1, quantile=1.0, seed=3)
+        sel = select_rank_pa(X, observed_scree(X), n_perm=1, quantile=1.0, seed=3)
         # hand-run of the same substream: one column-wise permutation
         gen = substream(3, STREAM_PA, 0)
         keys = gen.random(X.shape)
@@ -181,14 +185,16 @@ class TestSelectRankPA:
     def test_bit_reproducible(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((15, 8))
-        a = select_rank_pa(X, n_perm=10, seed=5)
-        b = select_rank_pa(X, n_perm=10, seed=5)
+        a = select_rank_pa(X, observed_scree(X), n_perm=10, seed=5)
+        b = select_rank_pa(X, observed_scree(X), n_perm=10, seed=5)
         assert a.r == b.r
         assert np.array_equal(a.trace["quantile_curve"], b.trace["quantile_curve"])
 
     def test_parameter_validation(self):
         X = np.random.default_rng(10).standard_normal((10, 5))
         with pytest.raises(ValueError, match="n_perm"):
-            select_rank_pa(X, n_perm=0)
+            select_rank_pa(X, observed_scree(X), n_perm=0)
         with pytest.raises(ValueError, match="quantile"):
-            select_rank_pa(X, quantile=0.0)
+            select_rank_pa(X, observed_scree(X), quantile=0.0)
+        with pytest.raises(ValueError, match="scree values"):
+            select_rank_pa(X, observed_scree(X)[:-1])

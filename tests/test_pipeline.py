@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+import blockcov.lowrank
+import blockcov.pipeline
 from blockcov.corr import build_gamma, sample_correlation, vech
-from blockcov.lowrank import truncate_rank
+from blockcov.lowrank import scree, truncate_rank
 from blockcov.metrics import support_confusion
-from blockcov.pipeline import (CorrelationEstimate, PipelineConfig, PipelineError,
-                               SelectionTrace, estimate, whiten)
+from blockcov.pipeline import CorrelationEstimate, PipelineConfig, PipelineError, estimate, whiten
 from blockcov.psd import PsdConfig, inv_sqrt
 from blockcov.simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 from blockcov.sparsify import hard_threshold
@@ -100,11 +101,24 @@ class TestEstimate:
         truth = build_scenario(ScenarioSpec("diagonal-equal", 20, seed=8))
         X = sample_gaussian(truth, 15, seed=8)
         est = estimate(X, PipelineConfig(seed=8))
-        assert isinstance(est.trace, SelectionTrace)
-        assert est.trace.scree.size == 19
-        assert "rss" in est.trace.rank
-        assert "criterion" in est.trace.lam
+        assert est.scree.size == 19
+        assert "rss" in est.rank.trace
+        assert "criterion" in est.lam.trace
         assert est.timings["psd-projection"] >= 0.0
+
+    def test_parallel_analysis_reuses_the_observed_scree(self, monkeypatch):
+        truth = build_scenario(ScenarioSpec("diagonal-equal", 20, seed=8))
+        X = sample_gaussian(truth, 15, seed=8)
+        calls = []
+
+        def counted(G):
+            calls.append(G.shape)
+            return scree(G)
+        for module in (blockcov.pipeline, blockcov.lowrank):
+            monkeypatch.setattr(module, "scree", counted)
+        est = estimate(X, PipelineConfig(rank_method="pa", pa_permutations=7, seed=8))
+        assert len(calls) == 1 + 7
+        assert np.array_equal(est.rank.trace["observed"], est.scree)
 
 
 class TestWhiten:
@@ -114,7 +128,7 @@ class TestWhiten:
         est = CorrelationEstimate(
             sigma_hat=np.eye(6), sigma_tilde=np.eye(6),
             support=np.zeros((6, 6), dtype=bool), rank=None, lam=None,
-            permutation=np.arange(6), trace=None, inv_sqrt=inv_sqrt(np.eye(6), 0.0))
+            permutation=np.arange(6), scree=None, inv_sqrt=inv_sqrt(np.eye(6), 0.0))
         assert np.allclose(whiten(X, est), X, atol=1e-12)
 
     def test_true_sigma_whitens_large_sample(self):
@@ -122,18 +136,10 @@ class TestWhiten:
         t = 0.5 * np.linalg.eigvalsh(truth.Sigma)[0]
         est = CorrelationEstimate(
             sigma_hat=truth.Sigma, sigma_tilde=truth.Sigma, support=truth.support,
-            rank=None, lam=None, permutation=np.arange(10), trace=None,
+            rank=None, lam=None, permutation=np.arange(10), scree=None,
             inv_sqrt=inv_sqrt(truth.Sigma, t))
         X = sample_gaussian(truth, 10000, seed=10)
         W = whiten(X, est)
         assert W.shape == X.shape
         R = sample_correlation(W)
         assert np.max(np.abs(R - np.eye(10))) <= 0.05
-
-    def test_missing_inv_sqrt(self):
-        truth = build_scenario(ScenarioSpec("diagonal-equal", 12, seed=11))
-        X = sample_gaussian(truth, 15, seed=11)
-        est = estimate(X, PipelineConfig(compute_inv_sqrt=False, seed=11))
-        assert est.inv_sqrt is None
-        with pytest.raises(ValueError, match="inverse square root"):
-            whiten(X, est)

@@ -88,8 +88,6 @@ class TestNearestCorrelation:
             PsdConfig(tol=0.0)
         with pytest.raises(ValueError):
             PsdConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            PsdConfig(eig_floor=-1.0)
 
 
 class TestInvSqrt:

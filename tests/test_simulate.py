@@ -73,16 +73,6 @@ class TestBuildScenario:
             assert np.all((vals >= lo) & (vals <= hi))
             start += size
 
-    def test_unequal_per_column_switch(self):
-        truth = build_scenario(ScenarioSpec("diagonal-unequal", 50, seed=4,
-                                            unequal_per_column=True))
-        sizes = block_sizes(50)
-        start = 0
-        for c, size in enumerate(sizes):
-            vals = truth.Z[start:start + size, c]
-            assert np.unique(vals).size == 1
-            start += size
-
     def test_block_labels(self):
         truth = build_scenario(ScenarioSpec("diagonal-equal", 100, seed=0))
         assert np.array_equal(np.bincount(truth.blocks), [10, 20, 30, 20, 20])

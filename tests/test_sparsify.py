@@ -156,7 +156,7 @@ class TestSelectLambdaElbow:
             R = sample_correlation(rng.standard_normal((15, 12)))
             G_r = truncate_rank(build_gamma(R), 3)
             grid = candidate_lambdas(vech(G_r), max_grid=20)
-            sel = select_lambda_elbow(R, G_r, grid)
+            sel = select_lambda_elbow(build_gamma(R), G_r, grid)
             lam_ref, curve_ref = elbow_oracle(R, G_r, grid)
             assert sel.lam == lam_ref
             assert np.allclose(sel.trace["criterion"], curve_ref, atol=1e-10)
@@ -173,13 +173,13 @@ class TestSelectLambdaElbow:
         R = sample_correlation(rng.standard_normal((14, 9)))
         G = build_gamma(R)
         grid = candidate_lambdas(vech(G), max_grid=30)
-        sel = select_lambda_elbow(R, G, grid)
+        sel = select_lambda_elbow(G, G, grid)
         assert np.all(np.diff(sel.trace["criterion"]) >= -1e-12)
 
     def test_grid_too_short(self):
         R = np.eye(4)
         with pytest.raises(ValueError, match="4 points"):
-            select_lambda_elbow(R, build_gamma(R), np.array([0.0, 0.1, 0.2]))
+            select_lambda_elbow(build_gamma(R), build_gamma(R), np.array([0.0, 0.1, 0.2]))
 
 
 def bl_oracle(X, r, grid, splits):
