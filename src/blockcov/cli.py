@@ -20,7 +20,6 @@ import numpy as np
 
 from .benchmark import METHODS, BenchmarkConfig, run_benchmark, write_results
 from .io import read_matrix_csv, write_matrix_csv
-from .permute import DISSIMILARITY_KINDS
 from .pipeline import PipelineConfig, PipelineError, estimate, select
 from .psd import PsdConfig
 from .simulate import SCENARIOS, ScenarioSpec, build_scenario, permute_columns, sample_gaussian
@@ -28,15 +27,11 @@ from .simulate import SCENARIOS, ScenarioSpec, build_scenario, permute_columns, 
 SEED_ENV_VAR = "BLOCKCOV_SEED"
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; this tool reserves 2 for
     # numerical failures, so remap argument problems to exit 1.
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def main(argv=None):
@@ -44,9 +39,6 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except PipelineError as exc:
         cause = exc.__cause__
         # LinAlgError subclasses ValueError but reports a numerical failure.
@@ -80,8 +72,6 @@ def _build_parser():
                      help="threshold selection: 'elbow', 'bl', or a fixed value")
     est.add_argument("--reorder", action="store_true",
                      help="cluster variables first and estimate in leaf order")
-    est.add_argument("--dissimilarity", default=defaults.dissimilarity_kind,
-                     choices=DISSIMILARITY_KINDS)
     est.add_argument("--inv-sqrt-threshold", type=float, default=defaults.inv_sqrt_threshold,
                      help="eigenvalues at most this are dropped from the inverse square root")
     est.add_argument("--psd-tol", type=float, default=defaults.psd.tol)
@@ -152,7 +142,7 @@ def _resolve_seed(args):
     else:
         seed = int(os.environ.get(SEED_ENV_VAR, "0"))
     if seed < 0:
-        raise _UsageError(f"seed must be non-negative, got {seed}")
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return seed
 
 
@@ -162,9 +152,9 @@ def _parse_rank(value):
     try:
         r = int(value)
     except ValueError:
-        raise _UsageError(f"--rank must be 'cattell', 'pa' or a positive integer, got {value!r}")
+        raise ValueError(f"--rank must be 'cattell', 'pa' or a positive integer, got {value!r}")
     if r < 1:
-        raise _UsageError(f"--rank must be at least 1, got {r}")
+        raise ValueError(f"--rank must be at least 1, got {r}")
     return r
 
 
@@ -174,9 +164,9 @@ def _parse_lambda(value):
     try:
         lam = float(value)
     except ValueError:
-        raise _UsageError(f"--lambda must be 'elbow', 'bl' or a non-negative value, got {value!r}")
+        raise ValueError(f"--lambda must be 'elbow', 'bl' or a non-negative value, got {value!r}")
     if lam < 0:
-        raise _UsageError(f"--lambda must be non-negative, got {lam}")
+        raise ValueError(f"--lambda must be non-negative, got {lam}")
     return lam
 
 
@@ -186,7 +176,6 @@ def _cmd_estimate(args):
         rank_method=_parse_rank(args.rank),
         lambda_method=_parse_lambda(args.lam),
         reorder=args.reorder,
-        dissimilarity_kind=args.dissimilarity,
         psd=PsdConfig(tol=args.psd_tol, max_iter=args.psd_max_iter),
         inv_sqrt_threshold=args.inv_sqrt_threshold,
         seed=_resolve_seed(args),
@@ -260,17 +249,17 @@ def _cmd_benchmark(args):
     scenarios = tuple(s.strip() for s in args.scenarios.split(",") if s.strip())
     for s in scenarios:
         if s not in SCENARIOS:
-            raise _UsageError(f"unknown scenario {s!r}; valid names: {', '.join(SCENARIOS)}")
+            raise ValueError(f"unknown scenario {s!r}; valid names: {', '.join(SCENARIOS)}")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     if args.reps < 1:
-        raise _UsageError(f"--reps must be at least 1, got {args.reps}")
+        raise ValueError(f"--reps must be at least 1, got {args.reps}")
     if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         n_list = tuple(int(v) for v in args.n_list.split(","))
         q_list = tuple(int(v) for v in args.q_list.split(","))
     except ValueError:
-        raise _UsageError("--n-list and --q-list must be comma-separated integers")
+        raise ValueError("--n-list and --q-list must be comma-separated integers")
     cfg = BenchmarkConfig(scenarios=scenarios, n_list=n_list, q_list=q_list,
                           reps=args.reps, methods=methods, seed=_resolve_seed(args),
                           inv_sqrt_threshold=args.inv_sqrt_threshold,

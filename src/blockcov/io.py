@@ -37,12 +37,7 @@ def read_matrix_csv(path, header=False):
 
 def write_matrix_csv(path, M, names=None):
     """Write a matrix (or vector, as a single column) to CSV."""
-    M = np.asarray(M)
-    if M.ndim == 1:
-        M = M[:, None]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
         if names is not None:
-            writer.writerow(names)
-        for row in M:
-            writer.writerow([format(v, ".17g") for v in row])
+            csv.writer(fh).writerow(names)
+        np.savetxt(fh, M, fmt="%.17g", delimiter=",", newline="\r\n")

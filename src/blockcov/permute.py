@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DISSIMILARITY_KINDS = ("one_minus_corr", "one_minus_abs_corr", "euclidean_columns")
-
 
 @dataclass
 class Dendrogram:
@@ -27,24 +25,13 @@ class Dendrogram:
     merges: list
 
 
-def dissimilarity(values, kind="one_minus_abs_corr"):
-    """Pairwise variable dissimilarities.
+def dissimilarity(R):
+    """Pairwise variable dissimilarities 1 - |r| from a correlation matrix.
 
-    ``values`` is a correlation matrix for the correlation-based kinds and
-    the n x q observation matrix for ``euclidean_columns``. The default
-    1 - |r| treats strong negative correlation as closeness, which matters
-    when blocks interact with negative loadings.
+    Strong negative correlation counts as closeness, which matters when
+    blocks interact with negative loadings.
     """
-    values = np.asarray(values, dtype=float)
-    if kind == "one_minus_corr":
-        d = 1.0 - values
-    elif kind == "one_minus_abs_corr":
-        d = 1.0 - np.abs(values)
-    elif kind == "euclidean_columns":
-        sq = (values ** 2).sum(axis=0)
-        d = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * values.T @ values, 0.0))
-    else:
-        raise ValueError(f"unknown dissimilarity kind {kind!r}; expected one of {DISSIMILARITY_KINDS}")
+    d = 1.0 - np.abs(np.asarray(R, dtype=float))
     d = (d + d.T) / 2
     d = np.maximum(d, 0.0)
     np.fill_diagonal(d, 0.0)

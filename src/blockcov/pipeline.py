@@ -21,8 +21,8 @@ from .lowrank import (RankSelection, check_rank, check_scree_size, scree, select
                       select_rank_pa, truncate_rank)
 from .permute import dissimilarity, hclust_complete, leaf_order, permute_matrix
 from .psd import InvSqrtResult, PsdConfig, check_threshold, inv_sqrt, nearest_correlation
-from .sparsify import (LambdaSelection, candidate_lambdas, check_cv_samples, hard_threshold,
-                       select_lambda_bl, select_lambda_elbow, sparse_sigma)
+from .sparsify import (LambdaSelection, candidate_lambdas, check_cv_samples, check_lambda,
+                       hard_threshold, select_lambda_bl, select_lambda_elbow, sparse_sigma)
 
 
 @dataclass
@@ -32,7 +32,6 @@ class PipelineConfig:
     rank_method: str | int = "cattell"     # "cattell", "pa", or a fixed rank
     lambda_method: str | float = "elbow"   # "elbow", "bl", or a fixed threshold
     reorder: bool = False
-    dissimilarity_kind: str = "one_minus_abs_corr"
     psd: PsdConfig = field(default_factory=PsdConfig)
     inv_sqrt_threshold: float = 0.1
     seed: int = 0
@@ -107,9 +106,15 @@ def _check_up_front(n, q, cfg):
             check_rank(cfg.rank_method, q - 1)
         elif cfg.rank_method == "cattell":
             check_scree_size(q - 1)
+        elif cfg.rank_method != "pa":
+            raise ValueError(f"unknown rank method {cfg.rank_method!r}")
     with _step("lambda-selection", {}):
-        if cfg.lambda_method == "bl":
+        if not isinstance(cfg.lambda_method, str):
+            check_lambda(cfg.lambda_method)
+        elif cfg.lambda_method == "bl":
             check_cv_samples(n)
+        elif cfg.lambda_method != "elbow":
+            raise ValueError(f"unknown lambda method {cfg.lambda_method!r}")
     with _step("inverse-square-root", {}):
         check_threshold(cfg.inv_sqrt_threshold)
 
@@ -127,8 +132,7 @@ def select(X, cfg):
     perm = np.arange(q)
     with _step("reorder", timings):
         if cfg.reorder:
-            values = X if cfg.dissimilarity_kind == "euclidean_columns" else R
-            perm = leaf_order(hclust_complete(dissimilarity(values, cfg.dissimilarity_kind)))
+            perm = leaf_order(hclust_complete(dissimilarity(R)))
             X = X[:, perm]
             R = permute_matrix(R, perm)
 
@@ -141,10 +145,8 @@ def select(X, cfg):
             rank = RankSelection(r=int(cfg.rank_method), method="fixed")
         elif cfg.rank_method == "cattell":
             rank = select_rank_cattell(s, r_max=max(2, min(n - 1, q - 2, 50)))
-        elif cfg.rank_method == "pa":
-            rank = select_rank_pa(X, s, n_perm=cfg.pa_permutations, seed=cfg.seed)
         else:
-            raise ValueError(f"unknown rank method {cfg.rank_method!r}")
+            rank = select_rank_pa(X, s, n_perm=cfg.pa_permutations, seed=cfg.seed)
         G_r = truncate_rank(G, rank.r)
 
     with _step("lambda-selection", timings):
@@ -152,10 +154,8 @@ def select(X, cfg):
             grid = candidate_lambdas(vech(G_r))
             if cfg.lambda_method == "elbow":
                 lam = select_lambda_elbow(G, G_r, grid)
-            elif cfg.lambda_method == "bl":
-                lam = select_lambda_bl(X, rank.r, grid, n_splits=cfg.bl_splits, seed=cfg.seed)
             else:
-                raise ValueError(f"unknown lambda method {cfg.lambda_method!r}")
+                lam = select_lambda_bl(X, rank.r, grid, n_splits=cfg.bl_splits, seed=cfg.seed)
         else:
             lam = fixed_lambda(G_r, cfg.lambda_method)
 

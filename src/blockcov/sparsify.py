@@ -29,10 +29,14 @@ class LambdaSelection:
     trace: dict = field(default_factory=dict)
 
 
-def soft_threshold(y, lam):
-    """Shrinking threshold: y_j (1 - lambda/(2|y_j|)) when |y_j| > lambda/2, else 0."""
+def check_lambda(lam):
     if lam < 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
+
+
+def soft_threshold(y, lam):
+    """Shrinking threshold: y_j (1 - lambda/(2|y_j|)) when |y_j| > lambda/2, else 0."""
+    check_lambda(lam)
     y = np.asarray(y, dtype=float)
     mag = np.abs(y)
     keep = mag > lam / 2
@@ -43,8 +47,7 @@ def soft_threshold(y, lam):
 
 def hard_threshold(y, lam):
     """Keep-unshrunk threshold: y_j when |y_j| > lambda/2, else 0."""
-    if lam < 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
+    check_lambda(lam)
     y = np.asarray(y, dtype=float)
     out = np.zeros_like(y)
     keep = np.abs(y) > lam / 2

@@ -31,6 +31,12 @@ def test_vector_written_as_column(tmp_path):
     assert np.array_equal(back[:, 0], [3, 1, 2])
 
 
+def test_exact_bytes(tmp_path):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, np.array([[0.1, -0.0], [np.nan, 2.0]]), names=["a", "b"])
+    assert path.read_bytes() == b"a,b\r\n0.10000000000000001,-0\r\nnan,2\r\n"
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

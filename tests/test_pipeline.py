@@ -89,6 +89,21 @@ class TestEstimate:
         with pytest.raises(PipelineError, match="lambda-selection"):
             estimate(X, PipelineConfig(lambda_method=-0.5))
 
+    @pytest.mark.parametrize("step, setting", [
+        ("rank-selection", {"rank_method": "nope"}),
+        ("lambda-selection", {"lambda_method": "nope"}),
+        ("lambda-selection", {"lambda_method": -0.5}),
+    ], ids=["unknown-rank", "unknown-lambda", "negative-lambda"])
+    def test_bad_selector_rejected_before_the_correlation(self, monkeypatch, step, setting):
+        X = np.random.default_rng(6).standard_normal((10, 8))
+        correlations = []
+        monkeypatch.setattr(blockcov.pipeline, "sample_correlation",
+                            lambda X: correlations.append(X) or sample_correlation(X))
+        with pytest.raises(PipelineError, match=step) as exc:
+            estimate(X, PipelineConfig(**setting))
+        assert exc.value.step == step
+        assert correlations == []
+
     def test_step_provenance_on_numerical_failure(self):
         truth = build_scenario(ScenarioSpec("extra-diagonal-equal", 30, seed=7))
         X = sample_gaussian(truth, 12, seed=7)
