@@ -46,10 +46,20 @@ class BenchmarkConfig:
 
 
 def run_benchmark(cfg):
-    """Run all cells and return one row dict per (cell, method), in task order."""
+    """Run all cells and return one row dict per (cell, method), in task order.
+
+    The whole configuration is checked before the first cell runs.
+    """
     for m in cfg.methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    for scenario in cfg.scenarios:
+        for q in cfg.q_list:
+            ScenarioSpec(scenario, q)
+    if cfg.reps < 1:
+        raise ValueError(f"reps must be at least 1, got {cfg.reps}")
+    if cfg.jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
     tasks = [(cfg, si, scenario, n, q, rep)
              for si, scenario in enumerate(cfg.scenarios)
              for n in cfg.n_list

@@ -6,13 +6,13 @@ plotting), and ``benchmark`` (replicated method comparison).
 
 Exit codes: 0 success, 1 argument/IO problems and input or configuration
 errors found by a pipeline step, 2 numerical failure. Both pipeline
-messages name the failing step. The environment variable BLOCKCOV_SEED is
-used as the seed when --seed is not given.
+messages name the failing step. The CLI only parses: selector names,
+ranges and benchmark settings are checked by the library, so a bad value
+exits 1 with the library's message.
 """
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -23,8 +23,6 @@ from .io import read_matrix_csv, write_matrix_csv
 from .pipeline import PipelineConfig, PipelineError, estimate, select
 from .psd import PsdConfig
 from .simulate import SCENARIOS, ScenarioSpec, build_scenario, permute_columns, sample_gaussian
-
-SEED_ENV_VAR = "BLOCKCOV_SEED"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,6 +36,10 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # cattell + elbow and fixed values never draw from the seed, so the
+        # library's own check would not see a negative one
+        if args.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except PipelineError as exc:
         cause = exc.__cause__
@@ -131,54 +133,30 @@ def _build_parser():
 
 def _common_seed():
     p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"random seed (default: ${SEED_ENV_VAR} or 0)")
+    p.add_argument("--seed", type=int, default=PipelineConfig.seed,
+                   help="random seed (default: %(default)s)")
     return p
 
 
-def _resolve_seed(args):
-    if args.seed is not None:
-        seed = args.seed
-    else:
-        seed = int(os.environ.get(SEED_ENV_VAR, "0"))
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    return seed
-
-
-def _parse_rank(value):
-    if value in ("cattell", "pa"):
-        return value
-    try:
-        r = int(value)
-    except ValueError:
-        raise ValueError(f"--rank must be 'cattell', 'pa' or a positive integer, got {value!r}")
-    if r < 1:
-        raise ValueError(f"--rank must be at least 1, got {r}")
-    return r
-
-
-def _parse_lambda(value):
-    if value in ("elbow", "bl"):
-        return value
-    try:
-        lam = float(value)
-    except ValueError:
-        raise ValueError(f"--lambda must be 'elbow', 'bl' or a non-negative value, got {value!r}")
-    if lam < 0:
-        raise ValueError(f"--lambda must be non-negative, got {lam}")
-    return lam
+def _number_or_name(value):
+    """``value`` as an int or a float when it parses as one, else the string itself."""
+    for number in (int, float):
+        try:
+            return number(value)
+        except ValueError:
+            pass
+    return value
 
 
 def _cmd_estimate(args):
     X, names = read_matrix_csv(args.input, header=args.header)
     cfg = PipelineConfig(
-        rank_method=_parse_rank(args.rank),
-        lambda_method=_parse_lambda(args.lam),
+        rank_method=_number_or_name(args.rank),
+        lambda_method=_number_or_name(args.lam),
         reorder=args.reorder,
         psd=PsdConfig(tol=args.psd_tol, max_iter=args.psd_max_iter),
         inv_sqrt_threshold=args.inv_sqrt_threshold,
-        seed=_resolve_seed(args),
+        seed=args.seed,
     )
     est = estimate(X, cfg)
     if args.out_sigma:
@@ -211,11 +189,10 @@ def _cmd_estimate(args):
 
 
 def _cmd_simulate(args):
-    seed = _resolve_seed(args)
-    truth = build_scenario(ScenarioSpec(args.scenario, args.q, seed=seed))
-    X = sample_gaussian(truth, args.n, seed=seed)
+    truth = build_scenario(ScenarioSpec(args.scenario, args.q, seed=args.seed))
+    X = sample_gaussian(truth, args.n, seed=args.seed)
     if args.permute_columns:
-        X, perm = permute_columns(X, seed=seed)
+        X, perm = permute_columns(X, seed=args.seed)
         if args.out_x:
             write_matrix_csv(Path(args.out_x).parent / "perm.csv", perm)
     if args.out_x:
@@ -231,10 +208,10 @@ def _cmd_simulate(args):
 
 def _cmd_trace(args):
     X, _ = read_matrix_csv(args.input, header=args.header)
-    sel = select(X, PipelineConfig(rank_method=_parse_rank(args.rank), seed=_resolve_seed(args)))
+    sel = select(X, PipelineConfig(rank_method=_number_or_name(args.rank), seed=args.seed))
     if args.out_scree:
         columns, names = [np.arange(1, sel.scree.size + 1), sel.scree], ["index", "value"]
-        if sel.rank.method == "pa":
+        if "quantile_curve" in sel.rank.trace:
             columns.append(sel.rank.trace["quantile_curve"])
             names.append("pa_quantile")
         write_matrix_csv(args.out_scree, np.column_stack(columns), names=names)
@@ -247,21 +224,14 @@ def _cmd_trace(args):
 
 def _cmd_benchmark(args):
     scenarios = tuple(s.strip() for s in args.scenarios.split(",") if s.strip())
-    for s in scenarios:
-        if s not in SCENARIOS:
-            raise ValueError(f"unknown scenario {s!r}; valid names: {', '.join(SCENARIOS)}")
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    if args.reps < 1:
-        raise ValueError(f"--reps must be at least 1, got {args.reps}")
-    if args.jobs < 1:
-        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         n_list = tuple(int(v) for v in args.n_list.split(","))
         q_list = tuple(int(v) for v in args.q_list.split(","))
     except ValueError:
         raise ValueError("--n-list and --q-list must be comma-separated integers")
     cfg = BenchmarkConfig(scenarios=scenarios, n_list=n_list, q_list=q_list,
-                          reps=args.reps, methods=methods, seed=_resolve_seed(args),
+                          reps=args.reps, methods=methods, seed=args.seed,
                           inv_sqrt_threshold=args.inv_sqrt_threshold,
                           permute_columns=args.permute_columns, reorder=args.reorder,
                           jobs=args.jobs)

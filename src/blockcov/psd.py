@@ -28,7 +28,7 @@ class PsdConfig:
     max_iter: int = 400
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
@@ -117,7 +117,7 @@ def nearest_correlation(A, cfg=None, callback=None):
 
 
 def check_threshold(t):
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"threshold must be non-negative, got {t}")
 
 

@@ -30,7 +30,7 @@ class LambdaSelection:
 
 
 def check_lambda(lam):
-    if lam < 0:
+    if not lam >= 0:
         raise ValueError(f"lambda must be non-negative, got {lam}")
 
 
@@ -149,11 +149,11 @@ def default_train_size(n):
 
 
 def check_cv_samples(n):
-    if n < 4:
-        raise ValueError(f"need at least 4 samples for cross-validation, got {n}")
+    if n < 5:
+        raise ValueError(f"need at least 5 samples for cross-validation, got {n}")
 
 
-def select_lambda_bl(X, r, grid, n_splits=50, train_size=None, seed=0, splits=None):
+def select_lambda_bl(X, r, grid, n_splits=50, seed=0, splits=None):
     """Cross-validated threshold choice.
 
     Every split estimates the thresholded matrix on a training subsample
@@ -174,8 +174,7 @@ def select_lambda_bl(X, r, grid, n_splits=50, train_size=None, seed=0, splits=No
     if splits is None:
         if n_splits < 1:
             raise ValueError(f"n_splits must be at least 1, got {n_splits}")
-        if train_size is None:
-            train_size = default_train_size(n)
+        train_size = default_train_size(n)
         splits = []
         for i in range(n_splits):
             rng = substream(seed, STREAM_BL, i)

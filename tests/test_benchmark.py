@@ -7,6 +7,7 @@ import blockcov.benchmark
 import blockcov.pipeline
 from blockcov.benchmark import METHODS, BenchmarkConfig, run_benchmark, write_results
 from blockcov.permute import hclust_complete
+from blockcov.simulate import build_scenario
 
 
 def read_results(path):
@@ -32,6 +33,23 @@ def test_unknown_method_rejected():
                           methods=("specc",))
     with pytest.raises(ValueError, match="unknown method"):
         run_benchmark(cfg)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(scenarios=("diagonal-equal", "banded")),
+    dict(q_list=(20, 5)),
+    dict(reps=0),
+    dict(jobs=0),
+], ids=["unknown-scenario-second", "q-too-small-second", "zero-reps", "zero-jobs"])
+def test_bad_config_rejected_before_any_cell(monkeypatch, bad):
+    built = []
+    monkeypatch.setattr(blockcov.benchmark, "build_scenario",
+                        lambda spec: built.append(spec) or build_scenario(spec))
+    cfg = dict(scenarios=("diagonal-equal",), n_list=(20,), q_list=(20,),
+               methods=("empirical",))
+    with pytest.raises(ValueError):
+        run_benchmark(BenchmarkConfig(**{**cfg, **bad}))
+    assert built == []
 
 
 @pytest.mark.parametrize("scrambled", [False, True])

@@ -92,12 +92,6 @@ class TestEstimateCommand:
         assert code == 1
         assert "--input" in capsys.readouterr().err
 
-    def test_rank_zero_is_flag_validation_error(self, tmp_path, capsys):
-        x, _, _ = simulate_files(tmp_path, q=20, n=10)
-        code = run(["estimate", "--input", x, "--rank", 0])
-        assert code == 1
-        assert "--rank" in capsys.readouterr().err
-
     def test_numerical_failure_exits_two_naming_step(self, tmp_path, capsys):
         x, _, _ = simulate_files(tmp_path, q=30, n=12, seed=3)
         code = run(["estimate", "--input", x, "--psd-max-iter", 1, "--psd-tol", 1e-12])
@@ -110,8 +104,16 @@ class TestEstimateCommand:
         ("estimate", (20, 4), [], "rank-selection"),
         ("estimate", (3, 20), ["--lambda", "bl"], "lambda-selection"),
         ("estimate", (30, 20), ["--inv-sqrt-threshold", -1], "inverse-square-root"),
+        ("estimate", (30, 20), ["--rank", 0], "rank-selection"),
+        ("estimate", (30, 20), ["--rank", "nope"], "rank-selection"),
+        ("estimate", (30, 20), ["--lambda", -1], "lambda-selection"),
+        ("estimate", (30, 20), ["--lambda", "nope"], "lambda-selection"),
+        ("estimate", (30, 20), ["--lambda", "nan"], "lambda-selection"),
+        ("estimate", (30, 20), ["--inv-sqrt-threshold", "nan"], "inverse-square-root"),
+        ("estimate", (4, 20), ["--lambda", "bl"], "lambda-selection"),
     ], ids=["rank-above-q", "trace-rank-above-q", "q4-scree-too-short", "bl-on-n3",
-            "negative-inv-sqrt-threshold"])
+            "negative-inv-sqrt-threshold", "rank-zero", "rank-not-a-name", "negative-lambda",
+            "lambda-not-a-name", "nan-lambda", "nan-inv-sqrt-threshold", "bl-on-n4"])
     def test_invalid_input_exits_one_naming_step(self, tmp_path, capsys, monkeypatch, command,
                                                  shape, flags, step):
         x = tmp_path / "X.csv"
@@ -269,14 +271,3 @@ class TestBenchmarkCommand:
             for key in a:
                 if key != "wall_time_s":
                     assert a[key] == b[key]
-
-    def test_env_var_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BLOCKCOV_SEED", "9")
-        d1 = tmp_path / "env.csv"
-        run(["simulate", "--scenario", "diagonal-equal", "--q", 20, "--n", 10,
-             "--out-x", d1])
-        monkeypatch.delenv("BLOCKCOV_SEED")
-        d2 = tmp_path / "flag.csv"
-        run(["simulate", "--scenario", "diagonal-equal", "--q", 20, "--n", 10,
-             "--seed", 9, "--out-x", d2])
-        assert d1.read_bytes() == d2.read_bytes()

@@ -87,6 +87,8 @@ class TestNearestCorrelation:
         with pytest.raises(ValueError):
             PsdConfig(tol=0.0)
         with pytest.raises(ValueError):
+            PsdConfig(tol=float("nan"))
+        with pytest.raises(ValueError):
             PsdConfig(max_iter=0)
 
 

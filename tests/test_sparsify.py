@@ -227,6 +227,6 @@ class TestSelectLambdaBL:
         rng = np.random.default_rng(12)
         X = rng.standard_normal((6, 4))
         with pytest.raises(ValueError, match="fewer than 2"):
-            select_lambda_bl(X, 2, np.array([0.0, 0.1]), train_size=5)
-        with pytest.raises(ValueError, match="4 samples"):
+            select_lambda_bl(X, 2, np.array([0.0, 0.1]), splits=[range(5)])
+        with pytest.raises(ValueError, match="5 samples"):
             select_lambda_bl(rng.standard_normal((3, 4)), 2, np.array([0.0]))
