@@ -14,8 +14,8 @@ from .metrics import frobenius_error, support_confusion
 from .permute import (Dendrogram, cut_tree, dissimilarity, hclust_complete, leaf_order,
                       permute_matrix)
 from .pipeline import CorrelationEstimate, PipelineConfig, PipelineError, estimate, whiten
-from .psd import (ConvergenceError, InvSqrtResult, PsdConfig, inv_sqrt, nearest_correlation,
-                  whitening_error)
+from .psd import (ConvergenceError, InvSqrtResult, ProjectionResult, PsdConfig, inv_sqrt,
+                  nearest_correlation, whitening_error)
 from .simulate import SCENARIOS, GroundTruth, ScenarioSpec, build_scenario, permute_columns, \
     sample_gaussian
 from .sparsify import (LambdaSelection, candidate_lambdas, hard_threshold, select_lambda_bl,
@@ -28,8 +28,8 @@ __all__ = [
     "RankSelection", "scree", "select_rank_cattell", "select_rank_pa", "truncate_rank",
     "LambdaSelection", "candidate_lambdas", "hard_threshold", "soft_threshold",
     "select_lambda_bl", "select_lambda_elbow", "sparse_sigma", "support_lambda",
-    "ConvergenceError", "InvSqrtResult", "PsdConfig", "inv_sqrt", "nearest_correlation",
-    "whitening_error",
+    "ConvergenceError", "InvSqrtResult", "ProjectionResult", "PsdConfig", "inv_sqrt",
+    "nearest_correlation", "whitening_error",
     "Dendrogram", "cut_tree", "dissimilarity", "hclust_complete", "leaf_order",
     "permute_matrix",
     "SCENARIOS", "GroundTruth", "ScenarioSpec", "build_scenario", "permute_columns",

@@ -14,13 +14,13 @@ from time import perf_counter
 
 from ._rng import STREAM_BENCH, derive_seed
 from .baselines import block_constant_estimator, kmeans_columns
-from .corr import sample_correlation, vech
+from .corr import check_sample_count, sample_correlation, vech
 from .metrics import frobenius_error, support_confusion
 from .permute import cut_tree, dissimilarity, hclust_complete, permute_matrix
 from .pipeline import PipelineConfig, estimate, finish, fixed_lambda, select
 from .psd import inv_sqrt, whitening_error
 from .simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
-from .sparsify import support_lambda
+from .sparsify import check_cv_samples, support_lambda
 
 METHODS = ("empirical", "blocks", "blocks_fast", "blocks_real", "hclust", "kmeans")
 TRUE_CLUSTERS = 5
@@ -56,6 +56,10 @@ def run_benchmark(cfg):
     for scenario in cfg.scenarios:
         for q in cfg.q_list:
             ScenarioSpec(scenario, q)
+    for n in cfg.n_list:
+        check_sample_count(n)
+        if "blocks" in cfg.methods:  # the only method that cross-validates
+            check_cv_samples(n)
     if cfg.reps < 1:
         raise ValueError(f"reps must be at least 1, got {cfg.reps}")
     if cfg.jobs < 1:

@@ -76,14 +76,17 @@ def _build_parser():
                      help="cluster variables first and estimate in leaf order")
     est.add_argument("--inv-sqrt-threshold", type=float, default=defaults.inv_sqrt_threshold,
                      help="eigenvalues at most this are dropped from the inverse square root")
-    est.add_argument("--psd-tol", type=float, default=defaults.psd.tol)
-    est.add_argument("--psd-max-iter", type=int, default=defaults.psd.max_iter)
+    est.add_argument("--psd-tol", type=float, default=defaults.psd.tol,
+                     help="the PSD projection stops when the RMS gap between the diagonal "
+                          "and 1 is at most this (default: %(default)s)")
+    est.add_argument("--psd-max-iter", type=int, default=defaults.psd.max_iter,
+                     help="most Newton steps of the PSD projection (default: %(default)s)")
     est.add_argument("--out-sigma", help="write the estimated matrix here (CSV)")
     est.add_argument("--out-invsqrt", help="write the inverse square root here (CSV)")
     est.add_argument("--out-order", help="write the clustering leaf order used by "
                                          "--reorder here (single-column CSV)")
     est.add_argument("--out-report", help="write a JSON report (rank, lambda, support size, "
-                                          "eigenvalue extremes, timings)")
+                                          "eigenvalue extremes, timings, projection work)")
     est.set_defaults(func=_cmd_estimate)
 
     sim = sub.add_parser("simulate", parents=[_common_seed()],
@@ -181,6 +184,7 @@ def _cmd_estimate(args):
             "inv_sqrt_dropped": est.inv_sqrt.dropped,
             "reordered": bool(args.reorder),
             "timings_s": {k: round(v, 6) for k, v in est.timings.items()},
+            "projection": est.diagnostics["projection"],
         }
         with open(args.out_report, "w") as fh:
             json.dump(report, fh, indent=2)

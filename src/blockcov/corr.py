@@ -10,6 +10,11 @@ rearrangement and its half-vectorization, and the inverse assembly step.
 import numpy as np
 
 
+def check_sample_count(n):
+    if n < 2:
+        raise ValueError(f"need at least 2 samples, got {n}")
+
+
 def validate_observations(X):
     """Check an observation matrix and return it as a float array.
 
@@ -21,8 +26,7 @@ def validate_observations(X):
     if X.ndim != 2:
         raise ValueError(f"observations must be a 2-d array, got shape {X.shape}")
     n, q = X.shape
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    check_sample_count(n)
     if q < 2:
         raise ValueError(f"need at least 2 variables, got {q}")
     if not np.isfinite(X).all():

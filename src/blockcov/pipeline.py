@@ -61,6 +61,8 @@ class CorrelationEstimate:
     variable order; ``permutation`` records the reordering used
     internally (identity when reordering is off) and ``scree`` the
     spectrum the rank was chosen from, in the working order.
+    ``diagnostics["projection"]`` records the Newton steps, CG steps,
+    eigendecompositions and final diagonal gap of the PSD projection.
     """
 
     sigma_hat: np.ndarray
@@ -72,6 +74,7 @@ class CorrelationEstimate:
     scree: np.ndarray
     inv_sqrt: InvSqrtResult
     timings: dict = field(default_factory=dict)
+    diagnostics: dict = field(default_factory=dict)
 
 
 class PipelineError(RuntimeError):
@@ -171,7 +174,8 @@ def finish(sel, cfg):
         S_tilde = sparse_sigma(sel.G_r, sel.lam.lam, perm.size)
 
     with _step("psd-projection", timings):
-        S_hat = nearest_correlation(S_tilde, cfg.psd)
+        proj = nearest_correlation(S_tilde, cfg.psd)
+        S_hat = proj.matrix
 
     with _step("inverse-square-root", timings):
         W = inv_sqrt(S_hat, cfg.inv_sqrt_threshold)
@@ -190,7 +194,8 @@ def finish(sel, cfg):
     return CorrelationEstimate(
         sigma_hat=S_hat, sigma_tilde=S_tilde, support=support,
         rank=sel.rank, lam=lam, permutation=perm, scree=sel.scree,
-        inv_sqrt=W, timings=timings)
+        inv_sqrt=W, timings=timings,
+        diagnostics={"projection": {k: v for k, v in vars(proj).items() if k != "matrix"}})
 
 
 def estimate(X, cfg=None):

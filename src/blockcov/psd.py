@@ -1,12 +1,12 @@
 """Positive-definiteness repair and the thresholded inverse square root.
 
 Thresholding breaks positive semidefiniteness, so the sparse estimate is
-projected onto the correlation matrices (unit diagonal, PSD) by
-alternating projections with Dykstra's correction, followed by a small
-eigenvalue floor that makes the result strictly definite. The inverse
-square root drops eigenvalue directions below a threshold instead of
-inverting them, which keeps the whitening transform stable when the
-spectrum has a near-null tail.
+projected onto the correlation matrices (unit diagonal, PSD) by the dual
+Newton method of Qi and Sun (SIAM J. Matrix Anal. Appl. 28(2), 2006),
+followed by a small eigenvalue floor that makes the result strictly
+definite. The inverse square root drops eigenvalue directions below a
+threshold instead of inverting them, which keeps the whitening transform
+stable when the spectrum has a near-null tail.
 """
 
 from dataclasses import dataclass
@@ -14,14 +14,20 @@ from dataclasses import dataclass
 import numpy as np
 
 EIG_FLOOR = 1e-8  # smallest eigenvalue of a projection, relative to the largest
+_ARMIJO = 1e-4     # sufficient-decrease fraction of the line search
+_MIN_STEP = 2.0 ** -40  # a line search that must cut the step below this has failed
+_CG_SHIFT = 1e-10  # keeps the generalised Jacobian definite (Qi and Sun's perturbation)
+_CG_MAX = 200     # CG steps per Newton step; an unfinished solve is still a descent direction
 
 
 @dataclass
 class PsdConfig:
     """Numerical controls of the nearest-correlation projection.
 
-    The iteration cap is sized for matrices in the thousands of columns;
-    well-conditioned inputs converge in a handful of iterations.
+    ``tol`` bounds the RMS diagonal gap ``||diag(X) - 1|| / sqrt(q)`` of
+    the PSD iterate ``X``; ``max_iter`` caps the Newton steps, each one
+    eigendecomposition plus any line-search retries. The pipeline's inputs
+    converge in under ten steps, also at thousands of columns.
     """
 
     tol: float = 1e-7
@@ -45,17 +51,19 @@ class InvSqrtResult:
     eig_max: float
 
 
+@dataclass
+class ProjectionResult:
+    """Nearest correlation matrix and the work it took."""
+
+    matrix: np.ndarray
+    newton_steps: int
+    cg_steps: int
+    eigh_calls: int
+    diag_gap: float  # RMS diagonal gap of the PSD iterate at exit, before floor and rescale
+
+
 class ConvergenceError(RuntimeError):
-    """Raised when the alternating projections hit the iteration cap.
-
-    Carries the last iterate and the relative change it achieved so
-    callers can inspect or resume.
-    """
-
-    def __init__(self, message, last_iterate, change):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.change = change
+    """Raised when the Newton iteration hits its cap or its line search fails."""
 
 
 def _check_square(A, what):
@@ -65,55 +73,124 @@ def _check_square(A, what):
     return A
 
 
-def _project_psd(A):
-    w, V = np.linalg.eigh(A)
-    np.maximum(w, 0.0, out=w)
-    return (V * w) @ V.T
+class _Dual:
+    """Dual objective, gradient and generalised Jacobian at one point ``y``.
+
+    With ``A + diag(y) = P diag(w) P'`` (ascending ``w``), the PSD part is
+    ``X = P diag(max(w, 0)) P'``, the objective ``0.5 ||X||^2 - sum(y)`` and
+    its gradient ``diag(X) - 1``.
+    """
+
+    def __init__(self, A, y):
+        self.y = y
+        B = A.copy()
+        B.flat[::B.shape[0] + 1] += y
+        self.w, self.P = np.linalg.eigh(B)
+        wp = np.maximum(self.w, 0.0)
+        self.theta = 0.5 * (wp @ wp) - y.sum()
+        self.grad = np.einsum("ij,ij,j->i", self.P, self.P, wp) - 1.0
+
+    def jacobian(self):
+        """Product with, and diagonal of, the generalised Jacobian ``V``.
+
+        ``V h = diag(P (Omega o P' diag(h) P) P')``, where ``Omega`` is 1
+        between positive eigenvalues, 0 between the others and
+        ``w_i / (w_i - w_j)`` across. Only the cross block is stored, and the
+        product runs over the smaller side of the spectrum, written through
+        ``1 - Omega`` when the positive side is the larger: O(q^2 min(p, q - p))
+        per product, with p positive eigenvalues, instead of O(q^3).
+        """
+        m = int(np.searchsorted(self.w, 0.0, side="right"))  # eigenvalues <= 0 come first
+        neg, pos = self.w[:m], self.w[m:]
+        cross = pos / (pos - neg[:, None])                      # Omega between the sides
+        if pos.size <= neg.size:
+            S, L, C, sign = self.P[:, m:], self.P[:, :m], cross, 1.0
+        else:
+            S, L, C, sign = self.P[:, :m], self.P[:, m:], (1.0 - cross).T, -1.0
+        shift = _CG_SHIFT + (sign < 0)
+
+        def matvec(h):
+            Sh = S * h[:, None]
+            core = np.einsum("ij,ij->i", S @ (Sh.T @ S), S)
+            core += 2.0 * np.einsum("ij,ij->i", L @ (C * (L.T @ Sh)), S)
+            return shift * h + sign * core
+
+        S2, L2 = S * S, L * L
+        diag = shift + sign * (S2.sum(axis=1) ** 2 + 2.0 * np.einsum("ij,ij->i", L2 @ C, S2))
+        return matvec, np.maximum(diag, _CG_SHIFT)
 
 
-def nearest_correlation(A, cfg=None, callback=None):
-    """Nearest correlation matrix by alternating projections.
+def _pcg(matvec, precond, b, rtol):
+    """Diagonally preconditioned conjugate gradients for ``V x = b``; returns (x, steps)."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = r / precond
+    p = z.copy()
+    rz = r @ z
+    stop = rtol * np.linalg.norm(b)
+    for steps in range(1, _CG_MAX + 1):
+        Vp = matvec(p)
+        alpha = rz / (p @ Vp)
+        x += alpha * p
+        r -= alpha * Vp
+        if np.linalg.norm(r) <= stop:
+            break
+        z = r / precond
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    return x, steps
 
-    Dykstra's correction alternates between the PSD cone and the
-    unit-diagonal matrices until the relative Frobenius change of the
-    iterate drops to ``cfg.tol``; hitting ``cfg.max_iter`` first raises
-    ConvergenceError. Afterwards the eigenvalues are floored at
-    ``EIG_FLOOR`` times the largest one and the result is rescaled to
-    an exactly-unit diagonal, so it is strictly positive definite and safe
-    to eigendecompose downstream. ``callback``, when given, is invoked
-    with each iterate (testing hook).
+
+def nearest_correlation(A, cfg=None):
+    """Nearest correlation matrix by the dual Newton method.
+
+    Minimises ``0.5 ||(A + diag y)_+||^2 - sum(y)`` over ``y``: each Newton
+    step solves the generalised-Jacobian system by preconditioned CG and
+    takes an Armijo line search, one eigendecomposition per trial point.
+    It stops when the RMS diagonal gap of ``X = (A + diag y)_+`` is at most
+    ``cfg.tol``; more than ``cfg.max_iter`` Newton steps, or a line search
+    that cannot descend, raises ConvergenceError. The eigenvalues of ``X``
+    are then floored at ``EIG_FLOOR`` times the largest one and the result
+    is rescaled to an exactly-unit diagonal, so it is strictly positive
+    definite and safe to eigendecompose downstream.
     """
     cfg = PsdConfig() if cfg is None else cfg
     A = _check_square(A, "input")
-    Y = A.copy()
-    correction = np.zeros_like(A)
-    change = np.inf
-    for _ in range(cfg.max_iter):
-        Rk = Y - correction
-        Xk = _project_psd(Rk)
-        correction = Xk - Rk
-        Y_new = Xk
-        np.fill_diagonal(Y_new, 1.0)
-        scale = np.linalg.norm(Y_new)
-        change = np.linalg.norm(Y_new - Y) / (scale if scale > 0 else 1.0)
-        Y = Y_new
-        if callback is not None:
-            callback(Y)
-        if change <= cfg.tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"nearest-correlation projection did not converge within {cfg.max_iter} "
-            f"iterations (relative change {change:.3e}, tolerance {cfg.tol:.3e})",
-            last_iterate=Y, change=change)
-    w, V = np.linalg.eigh(Y)
-    np.maximum(w, EIG_FLOOR * w[-1], out=w)
-    M = (V * w) @ V.T
+    q = A.shape[0]
+    cur = _Dual(A, 1.0 - np.diag(A))
+    eigh_calls, cg_steps, steps = 1, 0, 0
+    while (gap := np.linalg.norm(cur.grad) / np.sqrt(q)) > cfg.tol:
+        if steps == cfg.max_iter:
+            raise ConvergenceError(
+                f"nearest-correlation projection did not converge within {cfg.max_iter} "
+                f"Newton steps (diagonal gap {gap:.3e}, tolerance {cfg.tol:.3e})")
+        steps += 1
+        matvec, precond = cur.jacobian()
+        dy, k = _pcg(matvec, precond, -cur.grad, min(0.1, np.sqrt(q) * gap))
+        cg_steps += k
+        slope = cur.grad @ dy
+        # sufficient decrease, up to the rounding error of the objective itself
+        slack = 16 * np.finfo(float).eps * abs(cur.theta)
+        t = 1.0
+        while True:
+            trial = _Dual(A, cur.y + t * dy)
+            eigh_calls += 1
+            if trial.theta <= cur.theta + _ARMIJO * t * slope + slack:
+                break
+            t /= 2
+            if t < _MIN_STEP:
+                raise ConvergenceError(
+                    f"nearest-correlation line search failed at Newton step {steps} "
+                    f"(diagonal gap {gap:.3e})")
+        cur = trial
+    w = np.maximum(cur.w, EIG_FLOOR * cur.w[-1])
+    M = (cur.P * w) @ cur.P.T
     M = (M + M.T) / 2
     d = np.sqrt(np.clip(np.diag(M), np.finfo(float).tiny, None))
     M /= np.outer(d, d)
     np.fill_diagonal(M, 1.0)
-    return M
+    return ProjectionResult(matrix=M, newton_steps=steps, cg_steps=cg_steps,
+                            eigh_calls=eigh_calls, diag_gap=float(gap))
 
 
 def check_threshold(t):

@@ -147,7 +147,7 @@ def test_07_psd_projection_properties():
         A = base + (noise + noise.T) / 2
         np.fill_diagonal(A, 1.0)
         pd_input = np.linalg.eigvalsh(A)[0] > 0
-        out = nearest_correlation(A)
+        out = nearest_correlation(A).matrix
         assert np.all(np.diag(out) == 1.0)
         assert np.linalg.eigvalsh(out)[0] >= -1e-8
         if pd_input:

@@ -40,7 +40,10 @@ def test_unknown_method_rejected():
     dict(q_list=(20, 5)),
     dict(reps=0),
     dict(jobs=0),
-], ids=["unknown-scenario-second", "q-too-small-second", "zero-reps", "zero-jobs"])
+    dict(n_list=(20, 1)),
+    dict(n_list=(20, 4), methods=("blocks",)),
+], ids=["unknown-scenario-second", "q-too-small-second", "zero-reps", "zero-jobs",
+        "one-sample-second", "bl-on-n4-second"])
 def test_bad_config_rejected_before_any_cell(monkeypatch, bad):
     built = []
     monkeypatch.setattr(blockcov.benchmark, "build_scenario",

@@ -77,6 +77,8 @@ class TestEstimateCommand:
         assert data["eigenvalue_min"] >= -1e-8
         assert data["support_size"] > 0
         assert "timings_s" in data
+        assert set(data["projection"]) == {"newton_steps", "cg_steps", "eigh_calls", "diag_gap"}
+        assert data["projection"]["diag_gap"] <= 1e-7
         S, _ = read_matrix_csv(sigma_out)
         assert np.all(np.diag(S) == 1.0)
         W, _ = read_matrix_csv(w_out)

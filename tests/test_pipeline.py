@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,22 @@ class TestEstimate:
         assert "rss" in est.rank.trace
         assert "criterion" in est.lam.trace
         assert est.timings["psd-projection"] >= 0.0
+
+    def test_projection_record_matches_the_benchmark_trace(self, monkeypatch):
+        # the record counts its eigendecompositions in the code path; the
+        # benchmark's tracer counts them by rebinding numpy.linalg.eigh
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import spans
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 60, seed=2))
+        X = sample_gaussian(truth, 30, seed=2)
+        tracer = spans.Tracer()
+        with tracer.installed(), tracer.span("estimate", op=0):
+            est = estimate(X, PipelineConfig(seed=2))
+        traced = tracer.summaries()[0]["psd.nearest_correlation"]
+        record = est.diagnostics["projection"]
+        assert record["eigh_calls"] == traced["iterations"] + 1
+        assert record["eigh_calls"] > record["newton_steps"] >= 1
+        assert record["diag_gap"] <= PipelineConfig().psd.tol
 
     def test_parallel_analysis_reuses_the_observed_scree(self, monkeypatch):
         truth = build_scenario(ScenarioSpec("diagonal-equal", 20, seed=8))

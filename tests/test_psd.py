@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+import blockcov.psd
 from blockcov.corr import sample_correlation
-from blockcov.psd import (ConvergenceError, InvSqrtResult, PsdConfig, inv_sqrt,
-                          nearest_correlation, whitening_error)
+from blockcov.pipeline import PipelineConfig, select
+from blockcov.psd import (_CG_SHIFT, EIG_FLOOR, ConvergenceError, InvSqrtResult, PsdConfig,
+                          _Dual, inv_sqrt, nearest_correlation, whitening_error)
+from blockcov.simulate import ScenarioSpec, build_scenario, sample_gaussian
+from blockcov.sparsify import sparse_sigma
 
 
 def clipped_rescale(A):
@@ -16,21 +20,73 @@ def clipped_rescale(A):
     return M
 
 
+def naive_dykstra(A, tol=1e-9, max_iter=5000, callback=None):
+    # Reference: alternating projections with Dykstra's correction between the
+    # PSD cone and the unit-diagonal matrices, until the relative change of the
+    # iterate is at most tol, then the library's eigenvalue floor and rescale.
+    Y = A.copy()
+    correction = np.zeros_like(A)
+    for _ in range(max_iter):
+        R = Y - correction
+        w, V = np.linalg.eigh(R)
+        X = (V * np.maximum(w, 0.0)) @ V.T
+        correction = X - R
+        Y_new = X
+        np.fill_diagonal(Y_new, 1.0)
+        change = np.linalg.norm(Y_new - Y) / np.linalg.norm(Y_new)
+        Y = Y_new
+        if callback is not None:
+            callback(Y)
+        if change <= tol:
+            break
+    else:
+        raise AssertionError("reference projection did not converge")
+    w, V = np.linalg.eigh(Y)
+    M = (V * np.maximum(w, EIG_FLOOR * w[-1])) @ V.T
+    M = (M + M.T) / 2
+    d = np.sqrt(np.diag(M))
+    M /= np.outer(d, d)
+    np.fill_diagonal(M, 1.0)
+    return M
+
+
+def pipeline_s_tilde(scenario, q, n, seed):
+    # the projection's input in the pipeline: thresholded cattell + elbow estimate
+    truth = build_scenario(ScenarioSpec(scenario, q, seed=seed))
+    sel = select(sample_gaussian(truth, n, seed=seed), PipelineConfig(seed=seed))
+    return sparse_sigma(sel.G_r, sel.lam.lam, q)
+
+
+def random_inputs():
+    rng = np.random.default_rng(11)
+    for q in (3, 5, 8, 13, 21, 34, 40):
+        yield f"pd-{q}", sample_correlation(rng.standard_normal((3 * q, q)))
+        B = rng.standard_normal((q, q)) * 0.5
+        A = (B + B.T) / 2
+        np.fill_diagonal(A, 1.0)
+        yield f"perturbed-{q}", A
+        # constant off-diagonal above 1: about one positive eigenvalue, q - 1 negative
+        A = 1.3 + (B + B.T) * 0.05
+        np.fill_diagonal(A, 1.0)
+        yield f"mostly-negative-{q}", A
+    yield "s-tilde-100", pipeline_s_tilde("extra-diagonal-unequal", 100, 30, 0)
+
+
 class TestNearestCorrelation:
     def test_pd_input_is_fixed_point(self):
         rng = np.random.default_rng(0)
         A = sample_correlation(rng.standard_normal((40, 10)))
-        out = nearest_correlation(A)
+        out = nearest_correlation(A).matrix
         assert np.linalg.norm(out - A) <= 1e-6
 
     def test_identity(self):
-        out = nearest_correlation(np.eye(6))
+        out = nearest_correlation(np.eye(6)).matrix
         assert np.allclose(out, np.eye(6), atol=1e-12)
 
     def test_indefinite_input_repaired_better_than_clipping(self):
         A = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
         assert np.linalg.eigvalsh(A)[0] < 0
-        out = nearest_correlation(A)
+        out = nearest_correlation(A).matrix
         assert np.all(np.diag(out) == 1.0)
         assert np.linalg.eigvalsh(out)[0] >= -1e-8
         # at least as close as the naive repair, up to convergence tolerance
@@ -46,7 +102,7 @@ class TestNearestCorrelation:
             np.fill_diagonal(A, 1.0)
             if np.linalg.eigvalsh(A)[0] >= 0:
                 continue
-            out = nearest_correlation(A)
+            out = nearest_correlation(A).matrix
             d_proj = np.linalg.norm(out - A)
             d_clip = np.linalg.norm(clipped_rescale(A) - A)
             assert d_proj <= d_clip + 1e-6
@@ -59,29 +115,72 @@ class TestNearestCorrelation:
             B = rng.standard_normal((12, 12)) * 0.4
             A = (B + B.T) / 2
             np.fill_diagonal(A, 1.0)
-            out = nearest_correlation(A)
+            out = nearest_correlation(A).matrix
             assert np.all(np.diag(out) == 1.0)
             assert np.array_equal(out, out.T)
             assert np.linalg.eigvalsh(out)[0] >= -1e-8
 
-    def test_iteration_cap_raises_with_payload(self):
+    def test_iteration_cap_raises(self):
+        # one Newton step leaves a diagonal gap of ~7e-11 on this input
         A = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
-        with pytest.raises(ConvergenceError) as exc:
-            nearest_correlation(A, PsdConfig(max_iter=1))
-        assert exc.value.last_iterate.shape == (3, 3)
-        assert exc.value.change > 0
+        with pytest.raises(ConvergenceError, match="1 Newton steps"):
+            nearest_correlation(A, PsdConfig(max_iter=1, tol=1e-12))
+        assert nearest_correlation(A, PsdConfig(max_iter=2, tol=1e-12)).newton_steps == 2
+
+    def test_failed_line_search_names_the_newton_step(self, monkeypatch):
+        # demand more decrease than any step gives, and allow no step shortening
+        monkeypatch.setattr(blockcov.psd, "_ARMIJO", 1e6)
+        monkeypatch.setattr(blockcov.psd, "_MIN_STEP", 1.0)
+        A = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        with pytest.raises(ConvergenceError, match="line search failed at Newton step 1"):
+            nearest_correlation(A)
 
     def test_iterates_move_monotonically_toward_feasible_set(self):
-        # Dykstra iterates start at the input and walk out to the
-        # intersection, so their distance to the input never decreases
+        # the reference's Dykstra iterates start at the input and walk out to
+        # the intersection, so their distance to the input never decreases
         rng = np.random.default_rng(2)
         B = rng.standard_normal((20, 20)) * 0.3
         A = (B + B.T) / 2
         np.fill_diagonal(A, 1.0)
         dists = []
-        nearest_correlation(A, callback=lambda Y: dists.append(np.linalg.norm(Y - A)))
+        naive_dykstra(A, callback=lambda Y: dists.append(np.linalg.norm(Y - A)))
         assert len(dists) > 2
         assert np.all(np.diff(dists) >= -1e-12)
+
+    @pytest.mark.parametrize("A", [pytest.param(A, id=name) for name, A in random_inputs()])
+    def test_matches_naive_dykstra(self, A):
+        ref = naive_dykstra(A)
+        res = nearest_correlation(A)
+        assert np.linalg.norm(res.matrix - ref) <= 1e-5 * np.linalg.norm(ref)
+        assert res.diag_gap <= PsdConfig().tol
+        assert res.eigh_calls >= res.newton_steps + 1
+
+    @pytest.mark.parametrize("offset", [0.0, 1.3], ids=["few-negative", "few-positive"])
+    def test_jacobian_matches_finite_differences(self, offset):
+        # away from zero eigenvalues the gradient diag((A + diag y)_+) - 1 is
+        # smooth and the generalised Jacobian is its derivative; the two
+        # offsets put the smaller side of the spectrum on either sign
+        rng = np.random.default_rng(3)
+        B = rng.standard_normal((15, 15)) * (0.3 if offset == 0.0 else 0.05)
+        A = offset + (B + B.T) / 2
+        np.fill_diagonal(A, 1.0)
+        y, h, eps = 0.1 * rng.standard_normal(15), rng.standard_normal(15), 1e-6
+        matvec, diag = _Dual(A, y).jacobian()
+        fd = (_Dual(A, y + eps * h).grad - _Dual(A, y - eps * h).grad) / (2 * eps)
+        assert np.allclose(matvec(h) - _CG_SHIFT * h, fd, atol=1e-7)
+        full = np.column_stack([matvec(e) for e in np.eye(15)])
+        assert np.allclose(np.diag(full), diag, atol=1e-12)
+
+    @pytest.mark.parametrize("scenario, seed", [("extra-diagonal-equal", 7),
+                                                ("extra-diagonal-unequal", 3),
+                                                ("diagonal-equal", 3)])
+    def test_tight_tolerance_converges_despite_rounding(self, scenario, seed):
+        # near the solution the Armijo decrease falls below the rounding error
+        # of the dual objective; the line search must still accept the step
+        A = pipeline_s_tilde(scenario, 30, 12, seed)
+        res = nearest_correlation(A, PsdConfig(tol=1e-12))
+        assert res.newton_steps <= 10
+        assert res.diag_gap <= 1e-12
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -108,7 +207,6 @@ class TestInvSqrt:
         assert res.kept == 1 and res.dropped == 1
 
     def test_exact_inverse_square_root_when_nothing_dropped(self):
-        from blockcov.simulate import ScenarioSpec, build_scenario
         truth = build_scenario(ScenarioSpec("diagonal-equal", 20, seed=0))
         t = 0.5 * np.linalg.eigvalsh(truth.Sigma)[0]
         res = inv_sqrt(truth.Sigma, t)
