@@ -44,29 +44,36 @@ def hclust_complete(d):
     When several pairs are at the minimal distance, the pair with the
     lexicographically smallest node ids merges first, so the tree is
     identical across platforms.
+
+    Each live cluster caches its nearest neighbour (the smallest node id
+    among tied ones). A merge only ever raises distances, and the new node
+    id is larger than every live one, so a cache that pointed at neither
+    merged cluster stays exact; only those that did, and the new cluster's
+    own, are rescanned. Memory is O(q^2) and time typically O(q^2).
     """
     d = np.asarray(d, dtype=float)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"dissimilarity matrix must be square, got shape {d.shape}")
     if not np.isfinite(d).all():
         raise ValueError("dissimilarity matrix contains non-finite entries")
+    if not np.array_equal(d, d.T):
+        raise ValueError("dissimilarity matrix must be symmetric")
     q = d.shape[0]
-    D = d.astype(float).copy()
+    if q < 2:
+        return Dendrogram(n_leaves=q, merges=[])
+    D = d.copy()
     np.fill_diagonal(D, np.inf)
     ids = np.arange(q)  # node id held by each matrix slot
+    # slots are node ids at the start, so argmin's first hit is the smallest id
+    nn_slot = D.argmin(axis=1)
+    nn_dist = D[np.arange(q), nn_slot]
     merges = []
     for step in range(q - 1):
-        height = D.min()
-        best = None
-        best_slots = None
-        for i, j in np.argwhere(D == height):
-            if i >= j:
-                continue
-            pair = (ids[i], ids[j]) if ids[i] < ids[j] else (ids[j], ids[i])
-            if best is None or pair < best:
-                best = pair
-                best_slots = (int(i), int(j))
-        si, sj = best_slots
+        height = nn_dist.min()
+        rows = np.flatnonzero(nn_dist == height)
+        a, b = ids[rows], ids[nn_slot[rows]]
+        k = np.lexsort((np.maximum(a, b), np.minimum(a, b)))[0]
+        si, sj = sorted((int(rows[k]), int(nn_slot[rows[k]])))
         merges.append((*_order_children(int(ids[si]), int(ids[sj]), q), float(height)))
         # complete linkage: distance to the union is the max of the two
         row = np.maximum(D[si], D[sj])
@@ -76,6 +83,13 @@ def hclust_complete(d):
         D[sj, :] = np.inf
         D[:, sj] = np.inf
         ids[si] = q + step
+        nn_dist[sj] = np.inf
+        stale = np.flatnonzero((nn_slot == si) | (nn_slot == sj))
+        stale = np.union1d(stale[np.isfinite(nn_dist[stale])], [si])
+        sub = D[stale]
+        nn_dist[stale] = sub.min(axis=1)
+        tied = sub == nn_dist[stale][:, None]
+        nn_slot[stale] = np.where(tied, ids, np.iinfo(ids.dtype).max).argmin(axis=1)
     return Dendrogram(n_leaves=q, merges=merges)
 
 

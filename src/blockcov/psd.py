@@ -27,11 +27,12 @@ class PsdConfig:
     ``tol`` bounds the RMS diagonal gap ``||diag(X) - 1|| / sqrt(q)`` of
     the PSD iterate ``X``; ``max_iter`` caps the Newton steps, each one
     eigendecomposition plus any line-search retries. The pipeline's inputs
-    converge in under ten steps, also at thousands of columns.
+    converge in under ten steps, also at thousands of columns, so the
+    default cap of 50 only bounds how long an unreachable ``tol`` runs.
     """
 
     tol: float = 1e-7
-    max_iter: int = 400
+    max_iter: int = 50
 
     def __post_init__(self):
         if not self.tol > 0:

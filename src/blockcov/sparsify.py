@@ -107,14 +107,19 @@ def sparse_sigma(G_r, lam, q):
 def _criterion_curve(rvec, y, grid):
     # ||R - Sigma~(lambda)||_F via the off-diagonal vectors: the diagonals
     # of both matrices are exactly 1, so only the (doubled) upper triangle
-    # contributes.
-    curve = np.empty(grid.size)
-    support = np.empty(grid.size, dtype=int)
-    for k, lam in enumerate(grid):
-        b = np.clip(hard_threshold(y, lam), -1.0, 1.0)
-        curve[k] = math.sqrt(2.0 * float((rvec - b) @ (rvec - b)))
-        support[k] = int(np.count_nonzero(b))
-    return curve, support
+    # contributes. In ascending |y| order hard thresholding drops a prefix,
+    # so each grid point costs a prefix sum of rvec^2 over the dropped
+    # entries plus a suffix sum of (rvec - clip(y))^2 over the kept ones;
+    # the cut uses hard_threshold's own test |y| > lambda/2.
+    mag = np.abs(y)
+    order = np.argsort(mag, kind="stable")
+    mag, r = mag[order], rvec[order]
+    dropped = np.concatenate([[0.0], np.cumsum(r * r)])
+    kept_sq = (r - np.clip(y[order], -1.0, 1.0)) ** 2
+    kept = np.concatenate([np.cumsum(kept_sq[::-1])[::-1], [0.0]])
+    cut = np.searchsorted(mag, grid / 2, side="right")
+    curve = np.sqrt(2.0 * (dropped[cut] + kept[cut]))
+    return curve, y.size - cut
 
 
 def select_lambda_elbow(G, G_r, grid):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from blockcov.permute import (Dendrogram, cut_tree, dissimilarity, hclust_complete,
-                              leaf_order, permute_matrix)
-from blockcov.simulate import ScenarioSpec, build_scenario
+from blockcov.corr import sample_correlation
+from blockcov.permute import (Dendrogram, _order_children, cut_tree, dissimilarity,
+                              hclust_complete, leaf_order, permute_matrix)
+from blockcov.simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 
 
 def naive_complete_linkage(d):
@@ -26,6 +27,34 @@ def naive_complete_linkage(d):
         merges.append((a, b, dist))
         members[next_id] = members.pop(a) + members.pop(b)
         next_id += 1
+    return merges
+
+
+def cubic_complete_linkage(d):
+    # O(q^3) reference: rescan the whole matrix for the smallest distance at
+    # every merge, then take the lexicographically smallest node-id pair
+    q = d.shape[0]
+    D = np.asarray(d, dtype=float).copy()
+    np.fill_diagonal(D, np.inf)
+    ids = np.arange(q)
+    merges = []
+    for step in range(q - 1):
+        height = D.min()
+        best = None
+        for i, j in np.argwhere(D == height):
+            if i >= j:
+                continue
+            pair = (ids[i], ids[j]) if ids[i] < ids[j] else (ids[j], ids[i])
+            if best is None or pair < best:
+                best, si, sj = pair, int(i), int(j)
+        merges.append((*_order_children(int(ids[si]), int(ids[sj]), q), float(height)))
+        row = np.maximum(D[si], D[sj])
+        D[si, :] = row
+        D[:, si] = row
+        D[si, si] = np.inf
+        D[sj, :] = np.inf
+        D[:, sj] = np.inf
+        ids[si] = q + step
     return merges
 
 
@@ -76,6 +105,28 @@ class TestHclustComplete:
             d = np.triu(B, 1) + np.triu(B, 1).T
             assert_matches_naive(d)
 
+    def test_equals_cubic_reference_on_scrambled_blocks(self):
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 300, seed=0))
+        X, _ = permute_columns(sample_gaussian(truth, 30, seed=0), seed=0)
+        d = dissimilarity(sample_correlation(X))
+        assert hclust_complete(d).merges == cubic_complete_linkage(d)
+
+    def test_equals_cubic_reference_when_all_tied(self):
+        d = np.ones((60, 60))
+        np.fill_diagonal(d, 0.0)
+        assert hclust_complete(d).merges == cubic_complete_linkage(d)
+
+    def test_equals_cubic_reference_on_block_constant_distances(self):
+        # whole blocks share one nearest neighbour, so one merge leaves many
+        # cached neighbours stale at once
+        rng = np.random.default_rng(10)
+        labels = rng.permutation(np.repeat(np.arange(6), [30, 20, 15, 15, 10, 10]))
+        between = rng.integers(1, 4, size=(6, 6))
+        between = np.triu(between, 1) + np.triu(between, 1).T
+        d = between[np.ix_(labels, labels)].astype(float)
+        np.fill_diagonal(d, 0.0)
+        assert hclust_complete(d).merges == cubic_complete_linkage(d)
+
     def test_heights_monotone(self):
         rng = np.random.default_rng(1)
         B = rng.uniform(0.0, 1.0, size=(12, 12))
@@ -98,6 +149,11 @@ class TestHclustComplete:
         d = np.zeros((3, 3))
         d[0, 1] = d[1, 0] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
+            hclust_complete(d)
+
+    def test_rejects_asymmetric(self):
+        d = np.array([[0.0, 0.1, 0.5], [0.2, 0.0, 0.5], [0.5, 0.5, 0.0]])
+        with pytest.raises(ValueError, match="symmetric"):
             hclust_complete(d)
 
 

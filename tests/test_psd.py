@@ -182,6 +182,12 @@ class TestNearestCorrelation:
         assert res.newton_steps <= 10
         assert res.diag_gap <= 1e-12
 
+    def test_unreachable_tolerance_stops_at_the_default_cap(self):
+        # a gap of 1e-20 is below rounding, so only the cap of 50 steps ends the loop
+        A = pipeline_s_tilde("extra-diagonal-unequal", 30, 12, 3)
+        with pytest.raises(ConvergenceError, match="within 50 Newton steps"):
+            nearest_correlation(A, PsdConfig(tol=1e-20))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PsdConfig(tol=0.0)

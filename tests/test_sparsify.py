@@ -138,6 +138,21 @@ def elbow_oracle(R, G_r, grid):
     return grid[best_b], curve
 
 
+def criterion_oracle(G, G_r, grid):
+    # per-grid definition: threshold, clip and compare again at every grid point
+    rvec, y = vech(G), vech(G_r)
+    curve, support = [], []
+    for lam in grid:
+        b = np.clip(hard_threshold(y, lam), -1.0, 1.0)
+        curve.append(np.sqrt(2.0 * float((rvec - b) @ (rvec - b))))
+        support.append(np.count_nonzero(b))
+    return np.array(curve), np.array(support)
+
+
+def symmetric(B):
+    return np.triu(B) + np.triu(B, 1).T
+
+
 class TestSelectLambdaElbow:
     def test_synthetic_kink_selected(self):
         # piecewise-linear criterion with a single kink: scan must return it
@@ -160,6 +175,25 @@ class TestSelectLambdaElbow:
             lam_ref, curve_ref = elbow_oracle(R, G_r, grid)
             assert sel.lam == lam_ref
             assert np.allclose(sel.trace["criterion"], curve_ref, atol=1e-10)
+
+    @pytest.mark.parametrize("m, seed", [(11, 0), (39, 1), (120, 2)])
+    def test_sorted_curve_matches_per_grid_definition(self, m, seed):
+        # entries beyond [-1, 1] exercise the clip, exact zeros and repeated
+        # magnitudes sit on the cut, and every grid point is exactly some 2|y_j|
+        rng = np.random.default_rng(seed)
+        G = symmetric(rng.uniform(-1.0, 1.0, size=(m, m)))
+        B = rng.uniform(-1.6, 1.6, size=(m, m))
+        B[rng.random((m, m)) < 0.2] = 0.0
+        B[rng.random((m, m)) < 0.1] = 0.5
+        G_r = symmetric(B)
+        y = vech(G_r)
+        assert np.any(np.abs(y) > 1) and np.any(y == 0)
+        for grid in (candidate_lambdas(y, max_grid=y.size + 1), candidate_lambdas(y, max_grid=17)):
+            assert np.all(np.isin(grid[1:] / 2, np.abs(y)))
+            sel = select_lambda_elbow(G, G_r, grid)
+            curve, support = criterion_oracle(G, G_r, grid)
+            assert np.allclose(sel.trace["criterion"], curve, rtol=1e-12, atol=0)
+            assert np.array_equal(sel.trace["support_size"], support)
 
     def test_linear_curve_ties_to_smallest(self):
         from blockcov._twoline import two_segment_scan
