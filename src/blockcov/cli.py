@@ -88,7 +88,8 @@ def _build_parser():
     est.add_argument("--out-order", help="write the clustering leaf order used by "
                                          "--reorder here (single-column CSV)")
     est.add_argument("--out-report", help="write a JSON report (rank, lambda, support size, "
-                                          "eigenvalue extremes, timings, projection work)")
+                                          "eigenvalue extremes, timings, projection and "
+                                          "selection work)")
     est.set_defaults(func=_cmd_estimate)
 
     sim = sub.add_parser("simulate", parents=[_common_seed()],
@@ -187,6 +188,7 @@ def _cmd_estimate(args):
             "reordered": bool(args.reorder),
             "timings_s": {k: round(v, 6) for k, v in est.timings.items()},
             "projection": est.diagnostics["projection"],
+            "selection": est.diagnostics["selection"],
         }
         with open(args.out_report, "w") as fh:
             json.dump(report, fh, indent=2)

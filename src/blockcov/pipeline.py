@@ -62,7 +62,9 @@ class CorrelationEstimate:
     internally (identity when reordering is off) and ``scree`` the
     spectrum the rank was chosen from, in the working order.
     ``diagnostics["projection"]`` records the Newton steps, CG steps,
-    eigendecompositions and final diagonal gap of the PSD projection.
+    eigendecompositions and final diagonal gap of the PSD projection;
+    ``diagnostics["selection"]`` the threshold grid size and the BL splits
+    and PA permutations, each ``None`` when its selector did not run.
     """
 
     sigma_hat: np.ndarray
@@ -188,6 +190,11 @@ def finish(sel, cfg):
         support = S_tilde != 0.0
         np.fill_diagonal(support, False)
 
+    selection = {
+        "lambda_grid_size": None if sel.lam.method == "fixed" else int(sel.lam.trace["grid"].size),
+        "bl_splits": int(cfg.bl_splits) if sel.lam.method == "bl" else None,
+        "pa_permutations": int(cfg.pa_permutations) if sel.rank.method == "pa" else None,
+    }
     # BL counts its support on its own truncation, which under reordering can
     # differ from G_r by a tie at the threshold; report the estimate's support.
     lam = replace(sel.lam, support_size=int(support.sum()) // 2)
@@ -195,7 +202,8 @@ def finish(sel, cfg):
         sigma_hat=S_hat, sigma_tilde=S_tilde, support=support,
         rank=sel.rank, lam=lam, permutation=perm, scree=sel.scree,
         inv_sqrt=W, timings=timings,
-        diagnostics={"projection": {k: v for k, v in vars(proj).items() if k != "matrix"}})
+        diagnostics={"projection": {k: v for k, v in vars(proj).items() if k != "matrix"},
+                     "selection": selection})
 
 
 def estimate(X, cfg=None):

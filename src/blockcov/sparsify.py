@@ -49,10 +49,7 @@ def hard_threshold(y, lam):
     """Keep-unshrunk threshold: y_j when |y_j| > lambda/2, else 0."""
     check_lambda(lam)
     y = np.asarray(y, dtype=float)
-    out = np.zeros_like(y)
-    keep = np.abs(y) > lam / 2
-    out[keep] = y[keep]
-    return out
+    return np.where(np.abs(y) > lam / 2, y, 0.0)
 
 
 def candidate_lambdas(y, max_grid=100):
@@ -195,9 +192,14 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0, splits=None):
         R2 = sample_correlation(X[~mask])
         y1 = vech(truncate_rank(build_gamma(R1), r))
         rvec2 = vech(build_gamma(R2))
+        # the clip is the identity unless truncation pushed an entry past +-1
+        clip = bool(np.any(np.abs(y1) > 1.0))
         for k, lam in enumerate(grid):
-            b = np.clip(hard_threshold(y1, lam), -1.0, 1.0)
-            loss[k] += 2.0 * float((b - rvec2) @ (b - rvec2))
+            b = hard_threshold(y1, lam)
+            if clip:
+                np.clip(b, -1.0, 1.0, out=b)
+            b -= rvec2
+            loss[k] += 2.0 * float(b @ b)
     pick = int(np.argmin(loss))
     lam = float(grid[pick])
     y_full = vech(truncate_rank(build_gamma(sample_correlation(X)), r))

@@ -79,6 +79,8 @@ class TestEstimateCommand:
         assert "timings_s" in data
         assert set(data["projection"]) == {"newton_steps", "cg_steps", "eigh_calls", "diag_gap"}
         assert data["projection"]["diag_gap"] <= 1e-7
+        assert data["selection"] == {"lambda_grid_size": 100, "bl_splits": None,
+                                     "pa_permutations": None}
         S, _ = read_matrix_csv(sigma_out)
         assert np.all(np.diag(S) == 1.0)
         W, _ = read_matrix_csv(w_out)

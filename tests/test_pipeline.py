@@ -5,6 +5,7 @@ import pytest
 
 import blockcov.lowrank
 import blockcov.pipeline
+import blockcov.sparsify
 from blockcov.corr import build_gamma, sample_correlation, vech
 from blockcov.lowrank import scree, truncate_rank
 from blockcov.metrics import support_confusion
@@ -152,6 +153,42 @@ class TestEstimate:
         est = estimate(X, PipelineConfig(rank_method="pa", pa_permutations=7, seed=8))
         assert len(calls) == 1 + 7
         assert np.array_equal(est.rank.trace["observed"], est.scree)
+
+    def test_selection_record_counts_the_bl_threshold_passes(self, monkeypatch):
+        # a full-q200 input: BL thresholds once per split and grid point, then
+        # once more for the support of its pick; sparse_sigma thresholds last
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 200, seed=0))
+        X = sample_gaussian(truth, 30, seed=0)
+        calls, in_bl = [], []
+        bl = blockcov.sparsify.select_lambda_bl
+
+        def counted(y, lam):
+            calls.append(lam)
+            return hard_threshold(y, lam)
+
+        def counted_bl(*args, **kwargs):
+            start = len(calls)
+            sel = bl(*args, **kwargs)
+            in_bl.append(len(calls) - start - 1)
+            return sel
+        monkeypatch.setattr(blockcov.sparsify, "hard_threshold", counted)
+        monkeypatch.setattr(blockcov.pipeline, "select_lambda_bl", counted_bl)
+        est = estimate(X, PipelineConfig(rank_method="pa", lambda_method="bl"))
+        record = est.diagnostics["selection"]
+        assert record == {"lambda_grid_size": 100, "bl_splits": 50, "pa_permutations": 50}
+        assert in_bl == [record["bl_splits"] * record["lambda_grid_size"]] == [5000]
+        assert len(calls) == 5002
+
+    @pytest.mark.parametrize("rank, lam, record", [
+        ("cattell", "elbow", {"lambda_grid_size": 100, "bl_splits": None, "pa_permutations": None}),
+        ("pa", 0.5, {"lambda_grid_size": None, "bl_splits": None, "pa_permutations": 7}),
+        (3, "bl", {"lambda_grid_size": 100, "bl_splits": 4, "pa_permutations": None}),
+    ])
+    def test_selection_record_is_none_for_selectors_that_did_not_run(self, rank, lam, record):
+        truth = build_scenario(ScenarioSpec("diagonal-equal", 20, seed=8))
+        X = sample_gaussian(truth, 15, seed=8)
+        cfg = PipelineConfig(rank_method=rank, lambda_method=lam, pa_permutations=7, bl_splits=4)
+        assert estimate(X, cfg).diagnostics["selection"] == record
 
 
 class TestWhiten:

@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
+from blockcov._rng import STREAM_BL, substream
 from blockcov.corr import build_gamma, sample_correlation, vech
 from blockcov.lowrank import truncate_rank
-from blockcov.simulate import ScenarioSpec, build_scenario
-from blockcov.sparsify import (candidate_lambdas, hard_threshold, select_lambda_bl,
-                               select_lambda_elbow, soft_threshold, sparse_sigma,
-                               support_lambda)
+from blockcov.simulate import ScenarioSpec, build_scenario, sample_gaussian
+from blockcov.sparsify import (candidate_lambdas, default_train_size, hard_threshold,
+                               select_lambda_bl, select_lambda_elbow, soft_threshold,
+                               sparse_sigma, support_lambda)
 
 
 def scan_oracle(y, lam, soft):
@@ -17,6 +18,21 @@ def scan_oracle(y, lam, soft):
         if abs(v) > lam / 2:
             out[j] = v * (1 - lam / (2 * abs(v))) if soft else v
     return out
+
+
+def gather_threshold(y, lam):
+    # the earlier body of hard_threshold: zeros, then a boolean-mask scatter
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    keep = np.abs(y) > lam / 2
+    out[keep] = y[keep]
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestThresholds:
@@ -47,6 +63,22 @@ class TestThresholds:
         assert np.array_equal(h != 0, s != 0)
         assert np.all(np.abs(s) <= np.abs(h))
         assert np.all((np.abs(s) == np.abs(h)) == (h == 0))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.6, 1.0, 3.0, 5e-324, np.inf])
+    def test_hard_matches_the_gather_reference_bit_for_bit(self, lam):
+        # signed zeros, NaN, infinities and entries exactly at lambda/2
+        y = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 0.3, -0.3, 0.5, -0.5,
+                      1.5, -1.5, 0.29999999999999993, 5e-324, -5e-324, 2.0])
+        got = hard_threshold(y, lam)
+        assert_same_bits(got, gather_threshold(y, lam))
+        assert not np.any(np.signbit(got[got == 0]))
+        assert np.array_equal(got[np.abs(y) > lam / 2], y[np.abs(y) > lam / 2])
+
+    @pytest.mark.parametrize("y", [np.float64(-0.5), -0.5, 0.25, -0.0, [1, -2, 0, 3],
+                                   np.array([]), np.arange(6, dtype=np.int64).reshape(2, 3)])
+    def test_hard_matches_the_gather_reference_on_any_shape(self, y):
+        for lam in (0.0, 0.5, 1.0, 4.0):
+            assert_same_bits(hard_threshold(y, lam), gather_threshold(y, lam))
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -231,7 +263,36 @@ def bl_oracle(X, r, grid, splits):
     return grid[int(np.argmin(losses))], losses
 
 
+def bl_loss_reference(X, r, grid, n_splits, seed):
+    # the per-grid loss loop as first written: gather threshold, clip, and
+    # the difference formed twice; also returns max |y1| of each split
+    n = X.shape[0]
+    loss, peaks = np.zeros(grid.size), []
+    for i in range(n_splits):
+        train = substream(seed, STREAM_BL, i).permutation(n)[:default_train_size(n)]
+        mask = np.zeros(n, dtype=bool)
+        mask[train] = True
+        y1 = vech(truncate_rank(build_gamma(sample_correlation(X[mask])), r))
+        rvec2 = vech(build_gamma(sample_correlation(X[~mask])))
+        peaks.append(np.abs(y1).max())
+        for k, lam in enumerate(grid):
+            b = np.clip(gather_threshold(y1, lam), -1.0, 1.0)
+            loss[k] += 2.0 * float((b - rvec2) @ (b - rvec2))
+    return loss, np.array(peaks)
+
+
 class TestSelectLambdaBL:
+    def test_loss_is_bit_identical_to_the_reference_loop(self):
+        X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", 60, seed=0)),
+                            30, seed=0)
+        grid = candidate_lambdas(vech(truncate_rank(build_gamma(sample_correlation(X)), 5)))
+        sel = select_lambda_bl(X, 5, grid, n_splits=5, seed=0)
+        loss, peaks = bl_loss_reference(X, 5, grid, 5, 0)
+        # one split's truncation leaves [-1, 1] and needs the clip, the others do not
+        assert np.any(peaks > 1.0) and np.any(peaks <= 1.0)
+        assert np.array_equal(sel.trace["loss"], loss)
+        assert sel.lam == grid[int(np.argmin(loss))]
+
     def test_singleton_grid(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((8, 5))
