@@ -115,4 +115,5 @@ def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
     r = int(failures[0]) if failures.size else int(retained.size)
     r = max(r, 1)
     return RankSelection(r=r, method="pa",
-                         trace={"observed": observed, "quantile_curve": qcurve})
+                         trace={"observed": observed, "quantile_curve": qcurve,
+                                "permutations": int(n_perm)})

@@ -190,10 +190,11 @@ def finish(sel, cfg):
         support = S_tilde != 0.0
         np.fill_diagonal(support, False)
 
+    # what the selectors ran, as their traces record it; absent keys are None
     selection = {
-        "lambda_grid_size": None if sel.lam.method == "fixed" else int(sel.lam.trace["grid"].size),
-        "bl_splits": int(cfg.bl_splits) if sel.lam.method == "bl" else None,
-        "pa_permutations": int(cfg.pa_permutations) if sel.rank.method == "pa" else None,
+        "lambda_grid_size": sel.lam.trace["grid"].size if "grid" in sel.lam.trace else None,
+        "bl_splits": sel.lam.trace.get("splits"),
+        "pa_permutations": sel.rank.trace.get("permutations"),
     }
     # BL counts its support on its own truncation, which under reordering can
     # differ from G_r by a tie at the threshold; report the estimate's support.

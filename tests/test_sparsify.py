@@ -288,10 +288,11 @@ class TestSelectLambdaBL:
         grid = candidate_lambdas(vech(truncate_rank(build_gamma(sample_correlation(X)), 5)))
         sel = select_lambda_bl(X, 5, grid, n_splits=5, seed=0)
         loss, peaks = bl_loss_reference(X, 5, grid, 5, 0)
-        # one split's truncation leaves [-1, 1] and needs the clip, the others do not
+        # one split's truncation leaves [-1, 1], so the clip changes its loss
         assert np.any(peaks > 1.0) and np.any(peaks <= 1.0)
         assert np.array_equal(sel.trace["loss"], loss)
         assert sel.lam == grid[int(np.argmin(loss))]
+        assert sel.trace["splits"] == 5
 
     def test_singleton_grid(self):
         rng = np.random.default_rng(9)
@@ -308,6 +309,7 @@ class TestSelectLambdaBL:
         lam_ref, loss_ref = bl_oracle(X, 2, grid, splits)
         assert sel.lam == lam_ref
         assert np.allclose(sel.trace["loss"], loss_ref, rtol=1e-10)
+        assert sel.trace["splits"] == len(splits) == 20
 
     def test_same_seed_same_lambda(self):
         rng = np.random.default_rng(11)
