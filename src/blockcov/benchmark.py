@@ -64,6 +64,8 @@ def run_benchmark(cfg):
         raise ValueError(f"reps must be at least 1, got {cfg.reps}")
     if cfg.jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
+    if cfg.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
     tasks = [(cfg, si, scenario, n, q, rep)
              for si, scenario in enumerate(cfg.scenarios)
              for n in cfg.n_list

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Subcommands: ``estimate`` (fit on a CSV data matrix), ``simulate``
-(generate a synthetic scenario), ``trace`` (export selection curves for
-plotting), and ``benchmark`` (replicated method comparison).
+Subcommands: ``estimate`` (fit on a CSV data matrix, optionally with a
+JSON report that carries the selection curves), ``simulate`` (generate a
+synthetic scenario), and ``benchmark`` (replicated method comparison).
 
 Exit codes: 0 success, 1 argument/IO problems and input or configuration
 errors found by a pipeline step, 2 numerical failure. Both pipeline
@@ -20,7 +20,7 @@ import numpy as np
 
 from .benchmark import METHODS, BenchmarkConfig, run_benchmark, write_results
 from .io import read_matrix_csv, write_matrix_csv
-from .pipeline import PipelineConfig, PipelineError, estimate, select
+from .pipeline import PipelineConfig, PipelineError, estimate
 from .psd import PsdConfig
 from .simulate import SCENARIOS, ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 
@@ -36,10 +36,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        # cattell + elbow and fixed values never draw from the seed, so the
-        # library's own check would not see a negative one
-        if args.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {args.seed}")
         return args.func(args)
     except PipelineError as exc:
         cause = exc.__cause__
@@ -89,7 +85,8 @@ def _build_parser():
                                          "--reorder here (single-column CSV)")
     est.add_argument("--out-report", help="write a JSON report (rank, lambda, support size, "
                                           "eigenvalue extremes, timings, projection and "
-                                          "selection work)")
+                                          "selection work, and the selection curves: "
+                                          "scree, rank_trace, lambda_trace)")
     est.set_defaults(func=_cmd_estimate)
 
     sim = sub.add_parser("simulate", parents=[_common_seed()],
@@ -104,18 +101,6 @@ def _build_parser():
     sim.add_argument("--out-support", help="write the 0/1 support mask here (CSV)")
     sim.add_argument("--out-z", help="write the loading matrix here (CSV)")
     sim.set_defaults(func=_cmd_simulate)
-
-    tra = sub.add_parser("trace", parents=[_common_seed()],
-                         help="export selection diagnostics for plotting")
-    tra.add_argument("--input", required=True, help="CSV with one sample per row")
-    tra.add_argument("--header", action="store_true")
-    tra.add_argument("--rank", default=defaults.rank_method,
-                     help="rank used for the threshold curve: 'cattell', 'pa', or an integer")
-    tra.add_argument("--out-scree",
-                     help="scree curve CSV: index,value[,pa_quantile with --rank pa]")
-    tra.add_argument("--out-elbow",
-                     help="threshold curve CSV: lambda,criterion,support_size")
-    tra.set_defaults(func=_cmd_trace)
 
     ben = sub.add_parser("benchmark", parents=[_common_seed()],
                          help="replicated comparison on synthetic scenarios")
@@ -189,6 +174,9 @@ def _cmd_estimate(args):
             "timings_s": {k: round(v, 6) for k, v in est.timings.items()},
             "projection": est.diagnostics["projection"],
             "selection": est.diagnostics["selection"],
+            "scree": est.scree.tolist(),
+            "rank_trace": {k: np.asarray(v).tolist() for k, v in est.rank.trace.items()},
+            "lambda_trace": {k: np.asarray(v).tolist() for k, v in est.lam.trace.items()},
         }
         with open(args.out_report, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -211,22 +199,6 @@ def _cmd_simulate(args):
         write_matrix_csv(args.out_support, truth.support.astype(int))
     if args.out_z:
         write_matrix_csv(args.out_z, truth.Z)
-    return 0
-
-
-def _cmd_trace(args):
-    X, _ = read_matrix_csv(args.input, header=args.header)
-    sel = select(X, PipelineConfig(rank_method=_number_or_name(args.rank), seed=args.seed))
-    if args.out_scree:
-        columns, names = [np.arange(1, sel.scree.size + 1), sel.scree], ["index", "value"]
-        if "quantile_curve" in sel.rank.trace:
-            columns.append(sel.rank.trace["quantile_curve"])
-            names.append("pa_quantile")
-        write_matrix_csv(args.out_scree, np.column_stack(columns), names=names)
-    if args.out_elbow:
-        curve = [sel.lam.trace[k] for k in ("grid", "criterion", "support_size")]
-        write_matrix_csv(args.out_elbow, np.column_stack(curve),
-                         names=["lambda", "criterion", "support_size"])
     return 0
 
 

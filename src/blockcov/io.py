@@ -24,6 +24,8 @@ def read_matrix_csv(path, header=False):
         if not rows:
             raise ValueError(f"{path}: no data rows after header")
     width = len(rows[0])
+    if names is not None and len(names) != width:
+        raise ValueError(f"{path}: header has {len(names)} names, rows have {width} fields")
     data = np.empty((len(rows), width))
     for i, row in enumerate(rows):
         if len(row) != width:

@@ -78,8 +78,7 @@ def select_rank_cattell(s, r_max):
     candidates = np.arange(1, r_max + 1)
     rss = two_segment_scan(s[:window], candidates)
     r = int(candidates[int(np.argmin(rss))])
-    return RankSelection(r=r, method="cattell",
-                         trace={"scree": s, "candidates": candidates, "rss": rss})
+    return RankSelection(r=r, method="cattell", trace={"candidates": candidates, "rss": rss})
 
 
 def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
@@ -115,5 +114,4 @@ def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
     r = int(failures[0]) if failures.size else int(retained.size)
     r = max(r, 1)
     return RankSelection(r=r, method="pa",
-                         trace={"observed": observed, "quantile_curve": qcurve,
-                                "permutations": int(n_perm)})
+                         trace={"quantile_curve": qcurve, "permutations": int(n_perm)})

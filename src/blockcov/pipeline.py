@@ -38,6 +38,14 @@ class PipelineConfig:
     pa_permutations: int = 50
     bl_splits: int = 50
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.pa_permutations < 1:
+            raise ValueError(f"pa_permutations must be at least 1, got {self.pa_permutations}")
+        if self.bl_splits < 1:
+            raise ValueError(f"bl_splits must be at least 1, got {self.bl_splits}")
+
 
 @dataclass
 class Selection:

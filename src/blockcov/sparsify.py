@@ -155,17 +155,16 @@ def check_cv_samples(n):
         raise ValueError(f"need at least 5 samples for cross-validation, got {n}")
 
 
-def select_lambda_bl(X, r, grid, n_splits=50, seed=0, splits=None):
+def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     """Cross-validated threshold choice.
 
     Every split estimates the thresholded matrix on a training subsample
-    and scores it against the raw correlation of the held-out part in
-    squared Frobenius norm; losses are summed over splits and the
-    minimizing grid value wins (ties to the smaller index). The rank ``r``
-    is reused as selected on the full data rather than re-selected per
-    split. Random splits draw from substreams of ``seed``; explicit
-    ``splits`` (sequences of training row indices) override them, which
-    lets callers run exhaustive or stratified designs.
+    of ``default_train_size(n)`` rows and scores it against the raw
+    correlation of the held-out rows in squared Frobenius norm; losses are
+    summed over splits and the minimizing grid value wins (ties to the
+    smaller index). The rank ``r`` is reused as selected on the full data
+    rather than re-selected per split. Split ``i`` draws from substream
+    ``i`` of ``seed``.
     """
     X = validate_observations(X)
     n, q = X.shape
@@ -173,21 +172,13 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0, splits=None):
     if grid.size == 0:
         raise ValueError("empty threshold grid")
     check_cv_samples(n)
-    if splits is None:
-        if n_splits < 1:
-            raise ValueError(f"n_splits must be at least 1, got {n_splits}")
-        train_size = default_train_size(n)
-        splits = []
-        for i in range(n_splits):
-            rng = substream(seed, STREAM_BL, i)
-            splits.append(rng.permutation(n)[:train_size])
+    if n_splits < 1:
+        raise ValueError(f"n_splits must be at least 1, got {n_splits}")
+    train_size = default_train_size(n)
     loss = np.zeros(grid.size)
-    for train_idx in splits:
+    for i in range(n_splits):
         mask = np.zeros(n, dtype=bool)
-        mask[np.asarray(train_idx, dtype=int)] = True
-        n1 = int(mask.sum())
-        if n1 < 2 or n - n1 < 2:
-            raise ValueError(f"split of {n1}/{n - n1} leaves fewer than 2 samples on one side")
+        mask[substream(seed, STREAM_BL, i).permutation(n)[:train_size]] = True
         R1 = sample_correlation(X[mask])
         R2 = sample_correlation(X[~mask])
         y1 = vech(truncate_rank(build_gamma(R1), r))
@@ -202,4 +193,4 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0, splits=None):
     y_full = vech(truncate_rank(build_gamma(sample_correlation(X)), r))
     support_size = int(np.count_nonzero(hard_threshold(y_full, lam)))
     return LambdaSelection(lam=lam, method="bl", support_size=support_size,
-                           trace={"grid": grid, "loss": loss, "splits": len(splits)})
+                           trace={"grid": grid, "loss": loss, "splits": int(n_splits)})

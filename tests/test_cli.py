@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import blockcov.benchmark
 import blockcov.pipeline
 from blockcov.cli import main
 from blockcov.corr import sample_correlation
@@ -104,7 +105,6 @@ class TestEstimateCommand:
 
     @pytest.mark.parametrize("command, shape, flags, step", [
         ("estimate", (50, 100), ["--rank", 500], "rank-selection"),
-        ("trace", (50, 100), ["--rank", 500], "rank-selection"),
         ("estimate", (20, 4), [], "rank-selection"),
         ("estimate", (3, 20), ["--lambda", "bl"], "lambda-selection"),
         ("estimate", (30, 20), ["--inv-sqrt-threshold", -1], "inverse-square-root"),
@@ -115,7 +115,7 @@ class TestEstimateCommand:
         ("estimate", (30, 20), ["--lambda", "nan"], "lambda-selection"),
         ("estimate", (30, 20), ["--inv-sqrt-threshold", "nan"], "inverse-square-root"),
         ("estimate", (4, 20), ["--lambda", "bl"], "lambda-selection"),
-    ], ids=["rank-above-q", "trace-rank-above-q", "q4-scree-too-short", "bl-on-n3",
+    ], ids=["rank-above-q", "q4-scree-too-short", "bl-on-n3",
             "negative-inv-sqrt-threshold", "rank-zero", "rank-not-a-name", "negative-lambda",
             "lambda-not-a-name", "nan-lambda", "nan-inv-sqrt-threshold", "bl-on-n4"])
     def test_invalid_input_exits_one_naming_step(self, tmp_path, capsys, monkeypatch, command,
@@ -175,6 +175,15 @@ class TestEstimateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_header_width_mismatch_exits_one(self, tmp_path, capsys):
+        x = tmp_path / "X.csv"
+        x.write_text("a,b,c\n" + "1,2,3,4\n2,1,4,3\n" * 5)
+        sigma_out = tmp_path / "sigma.csv"
+        assert run(["estimate", "--input", x, "--header", "--rank", 2, "--lambda", 0,
+                    "--out-sigma", sigma_out]) == 1
+        assert "header has 3 names, rows have 4 fields" in capsys.readouterr().err
+        assert not sigma_out.exists()
+
     def test_reorder_writes_leaf_order(self, tmp_path):
         x, _, _ = simulate_files(tmp_path, q=20, n=30, seed=6, extra=["--permute-columns"])
         order_path = tmp_path / "order.csv"
@@ -184,61 +193,69 @@ class TestEstimateCommand:
         assert np.array_equal(np.sort(order[:, 0]), np.arange(20))
 
 
-class TestTraceCommand:
-    def test_scree_and_elbow_outputs(self, tmp_path):
+class TestEstimateReport:
+    @pytest.mark.parametrize("rank, lam, extra", [
+        ("cattell", "elbow", []),
+        ("pa", "bl", []),
+        (5, 0.8, []),
+        ("cattell", "elbow", ["--reorder"]),
+    ], ids=["cattell-elbow", "pa-bl", "5-0.8", "cattell-elbow-reorder"])
+    def test_curves_are_the_library_estimates(self, tmp_path, rank, lam, extra):
+        x, _, _ = simulate_files(tmp_path, q=30, n=20, seed=5, extra=["--permute-columns"])
+        report = tmp_path / "report.json"
+        assert run(["estimate", "--input", x, "--rank", rank, "--lambda", lam, "--seed", 3,
+                    *extra, "--out-report", report]) == 0
+        data = json.loads(report.read_text())
+        cfg = PipelineConfig(rank_method=rank, lambda_method=lam, reorder=bool(extra), seed=3)
+        est = estimate(read_matrix_csv(x)[0], cfg)
+        assert np.array_equal(data["scree"], est.scree)
+        for key, trace in (("rank_trace", est.rank.trace), ("lambda_trace", est.lam.trace)):
+            assert data[key].keys() == trace.keys()
+            for name, curve in trace.items():
+                assert np.array_equal(data[key][name], curve), (key, name)
+        if isinstance(lam, str):
+            assert data["lambda"] in data["lambda_trace"]["grid"]
+        else:
+            assert data["rank_trace"] == data["lambda_trace"] == {}
+
+    def test_curve_lengths_and_keys(self, tmp_path):
         x, _, _ = simulate_files(tmp_path, q=30, n=20, seed=5)
-        scree_path = tmp_path / "scree.csv"
-        elbow_path = tmp_path / "elbow.csv"
-        code = run(["trace", "--input", x, "--out-scree", scree_path,
-                    "--out-elbow", elbow_path])
-        assert code == 0
-        scree, names = read_matrix_csv(scree_path, header=True)
-        assert names == ["index", "value"]
-        assert scree.shape[0] == 29
-        elbow, names = read_matrix_csv(elbow_path, header=True)
-        assert names == ["lambda", "criterion", "support_size"]
+        report = tmp_path / "report.json"
+        assert run(["estimate", "--input", x, "--out-report", report]) == 0
+        data = json.loads(report.read_text())
+        assert len(data["scree"]) == 29
+        assert set(data["rank_trace"]) == {"candidates", "rss"}
+        assert set(data["lambda_trace"]) == {"grid", "criterion", "support_size", "rss"}
+        curve = data["lambda_trace"]
+        assert len(curve["grid"]) == len(curve["criterion"]) == len(curve["support_size"])
 
     def test_full_rank_criterion_non_decreasing(self, tmp_path):
         x, _, _ = simulate_files(tmp_path, q=20, n=40, seed=6)
-        elbow_path = tmp_path / "elbow.csv"
-        code = run(["trace", "--input", x, "--rank", 19, "--out-elbow", elbow_path])
-        assert code == 0
-        elbow, _ = read_matrix_csv(elbow_path, header=True)
-        assert np.all(np.diff(elbow[:, 1]) >= -1e-12)
+        report = tmp_path / "report.json"
+        assert run(["estimate", "--input", x, "--rank", 19, "--out-report", report]) == 0
+        criterion = json.loads(report.read_text())["lambda_trace"]["criterion"]
+        assert np.all(np.diff(criterion) >= -1e-12)
 
-    def test_pa_quantile_column(self, tmp_path):
+    def test_pa_records_quantile_curve(self, tmp_path):
         x, _, _ = simulate_files(tmp_path, q=15, n=20, seed=7)
-        scree_path = tmp_path / "scree.csv"
-        code = run(["trace", "--input", x, "--rank", "pa", "--out-scree", scree_path])
-        assert code == 0
-        _, names = read_matrix_csv(scree_path, header=True)
-        assert names == ["index", "value", "pa_quantile"]
+        report = tmp_path / "report.json"
+        assert run(["estimate", "--input", x, "--rank", "pa", "--out-report", report]) == 0
+        data = json.loads(report.read_text())
+        assert len(data["rank_trace"]["quantile_curve"]) == len(data["scree"]) == 14
+        assert data["rank_trace"]["permutations"] == 50
 
-    @pytest.mark.parametrize("rank", ["cattell", "pa", 5])
-    def test_curves_are_the_pipeline_selection(self, tmp_path, rank):
-        x, _, _ = simulate_files(tmp_path, q=30, n=20, seed=5)
-        scree_path = tmp_path / "scree.csv"
-        elbow_path = tmp_path / "elbow.csv"
-        assert run(["trace", "--input", x, "--rank", rank, "--seed", 3,
-                    "--out-scree", scree_path, "--out-elbow", elbow_path]) == 0
-        est = estimate(read_matrix_csv(x)[0], PipelineConfig(rank_method=rank, seed=3))
-        scree, _ = read_matrix_csv(scree_path, header=True)
-        assert np.array_equal(scree[:, 1], est.scree)
-        if rank == "pa":
-            assert np.array_equal(scree[:, 2], est.rank.trace["quantile_curve"])
-        elbow, _ = read_matrix_csv(elbow_path, header=True)
-        curve = est.lam.trace
-        assert np.array_equal(elbow, np.column_stack([curve["grid"], curve["criterion"],
-                                                      curve["support_size"]]))
-        assert est.lam.lam in elbow[:, 0]
-
-    def test_help_documents_columns(self, capsys):
+    def test_help_documents_report_curves(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["trace", "--help"])
+            main(["estimate", "--help"])
         assert exc.value.code == 0
-        text = capsys.readouterr().out
-        assert "criterion,support_size" in text
-        assert "index,value" in text
+        text = " ".join(capsys.readouterr().out.split())
+        assert "scree, rank_trace, lambda_trace" in text
+
+    def test_trace_subcommand_is_gone(self, tmp_path, capsys):
+        x, _, _ = simulate_files(tmp_path, q=20, n=10)
+        assert run(["trace", "--input", x, "--out-scree", tmp_path / "scree.csv"]) == 1
+        assert "invalid choice: 'trace'" in capsys.readouterr().err
+        assert not (tmp_path / "scree.csv").exists()
 
 
 class TestBenchmarkCommand:
@@ -275,3 +292,23 @@ class TestBenchmarkCommand:
             for key in a:
                 if key != "wall_time_s":
                     assert a[key] == b[key]
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("estimate", ["--input", "X.csv"]),
+    ("simulate", ["--scenario", "diagonal-equal", "--q", 20, "--n", 10, "--out-x", "Y.csv"]),
+    ("benchmark", ["--scenarios", "diagonal-equal", "--n-list", 20, "--q-list", 20,
+                   "--jobs", 2, "--out", "r.csv"]),
+])
+def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, command, flags):
+    write_matrix_csv(tmp_path / "X.csv", np.random.default_rng(0).standard_normal((20, 10)))
+    monkeypatch.chdir(tmp_path)
+    started = []
+    monkeypatch.setattr(blockcov.pipeline, "sample_correlation",
+                        lambda X: started.append("correlation") or sample_correlation(X))
+    monkeypatch.setattr(blockcov.benchmark, "ProcessPoolExecutor",
+                        lambda **kw: started.append("pool"))
+    assert run([command, *flags, "--seed", -1]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert started == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["X.csv"]

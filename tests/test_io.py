@@ -56,3 +56,10 @@ def test_non_numeric_rejected(tmp_path):
     path.write_text("1,2\n3,x\n")
     with pytest.raises(ValueError, match="row 2"):
         read_matrix_csv(path)
+
+
+def test_header_width_mismatch_rejected(tmp_path):
+    path = tmp_path / "short_header.csv"
+    path.write_text("a,b,c\n" + "1,2,3,4\n" * 6)
+    with pytest.raises(ValueError, match="header has 3 names, rows have 4 fields"):
+        read_matrix_csv(path, header=True)

@@ -155,13 +155,14 @@ class TestSelectRankPA:
     def test_independent_columns_match_reference(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((20, 12))
-        sel = select_rank_pa(X, observed_scree(X), n_perm=20, quantile=0.95, seed=11)
+        obs = observed_scree(X)
+        sel = select_rank_pa(X, obs, n_perm=20, quantile=0.95, seed=11)
         ref_r, ref_curve = pa_reference(X, 20, 0.95, 11)
         assert sel.r == ref_r
         assert np.allclose(sel.trace["quantile_curve"], ref_curve, atol=1e-10)
         assert sel.r <= 2  # no real structure to retain
         # retention stops at the first index where observed <= quantile
-        obs, curve = sel.trace["observed"], sel.trace["quantile_curve"]
+        curve = sel.trace["quantile_curve"]
         assert np.all(obs[:sel.r - 1] > curve[:sel.r - 1])
 
     def test_degenerate_single_permutation(self):

@@ -107,6 +107,21 @@ class TestEstimate:
         assert exc.value.step == step
         assert correlations == []
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"rank_method": "pa", "pa_permutations": 0}, "pa_permutations must be at least 1"),
+        ({"lambda_method": "bl", "bl_splits": 0}, "bl_splits must be at least 1"),
+    ], ids=["negative-seed", "zero-permutations", "zero-splits"])
+    def test_bad_config_value_rejected_before_the_correlation(self, monkeypatch, setting,
+                                                              message):
+        X = np.random.default_rng(6).standard_normal((10, 8))
+        correlations = []
+        monkeypatch.setattr(blockcov.pipeline, "sample_correlation",
+                            lambda X: correlations.append(X) or sample_correlation(X))
+        with pytest.raises(ValueError, match=message):
+            estimate(X, PipelineConfig(**setting))
+        assert correlations == []
+
     def test_step_provenance_on_numerical_failure(self):
         truth = build_scenario(ScenarioSpec("extra-diagonal-equal", 30, seed=7))
         X = sample_gaussian(truth, 12, seed=7)
@@ -150,9 +165,13 @@ class TestEstimate:
             return scree(G)
         for module in (blockcov.pipeline, blockcov.lowrank):
             monkeypatch.setattr(module, "scree", counted)
+        passed = []
+        pa = blockcov.pipeline.select_rank_pa
+        monkeypatch.setattr(blockcov.pipeline, "select_rank_pa",
+                            lambda X, s, **kw: passed.append(s) or pa(X, s, **kw))
         est = estimate(X, PipelineConfig(rank_method="pa", pa_permutations=7, seed=8))
         assert len(calls) == 1 + 7
-        assert np.array_equal(est.rank.trace["observed"], est.scree)
+        assert len(passed) == 1 and passed[0] is est.scree
 
     def test_selection_record_counts_the_bl_threshold_passes(self, monkeypatch):
         # BL thresholds once per split and grid point, then once more for the

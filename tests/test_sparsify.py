@@ -304,12 +304,20 @@ class TestSelectLambdaBL:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((6, 4))
         grid = np.array([0.0, 0.2, 0.5, 0.9, 1.5])
-        splits = list(itertools.combinations(range(6), 3))
-        sel = select_lambda_bl(X, 2, grid, splits=splits)
+        splits = [substream(4, STREAM_BL, i).permutation(6)[:default_train_size(6)]
+                  for i in range(150)]
+        # the seeded splits visit every 3-of-6 training set
+        assert {frozenset(s) for s in splits} == set(map(frozenset,
+                                                       itertools.combinations(range(6), 3)))
+        sel = select_lambda_bl(X, 2, grid, n_splits=150, seed=4)
         lam_ref, loss_ref = bl_oracle(X, 2, grid, splits)
         assert sel.lam == lam_ref
         assert np.allclose(sel.trace["loss"], loss_ref, rtol=1e-10)
-        assert sel.trace["splits"] == len(splits) == 20
+        assert sel.trace["splits"] == 150
+
+    def test_default_train_size_leaves_two_rows_on_each_side(self):
+        for n in range(5, 2001):
+            assert 2 <= default_train_size(n) <= n - 2, n
 
     def test_same_seed_same_lambda(self):
         rng = np.random.default_rng(11)
@@ -322,8 +330,5 @@ class TestSelectLambdaBL:
 
     def test_split_size_validation(self):
         rng = np.random.default_rng(12)
-        X = rng.standard_normal((6, 4))
-        with pytest.raises(ValueError, match="fewer than 2"):
-            select_lambda_bl(X, 2, np.array([0.0, 0.1]), splits=[range(5)])
         with pytest.raises(ValueError, match="5 samples"):
             select_lambda_bl(rng.standard_normal((3, 4)), 2, np.array([0.0]))
