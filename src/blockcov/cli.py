@@ -85,7 +85,8 @@ def _build_parser():
                                          "--reorder here (single-column CSV)")
     est.add_argument("--out-report", help="write a JSON report (rank, lambda, support size, "
                                           "eigenvalue extremes, timings, projection and "
-                                          "selection work, and the selection curves: "
+                                          "selection work, eigendecompositions per step, "
+                                          "and the selection curves: "
                                           "scree, rank_trace, lambda_trace)")
     est.set_defaults(func=_cmd_estimate)
 
@@ -174,6 +175,7 @@ def _cmd_estimate(args):
             "timings_s": {k: round(v, 6) for k, v in est.timings.items()},
             "projection": est.diagnostics["projection"],
             "selection": est.diagnostics["selection"],
+            "eigendecompositions": est.diagnostics["eigendecompositions"],
             "scree": est.scree.tolist(),
             "rank_trace": {k: np.asarray(v).tolist() for k, v in est.rank.trace.items()},
             "lambda_trace": {k: np.asarray(v).tolist() for k, v in est.lam.trace.items()},

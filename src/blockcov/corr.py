@@ -65,13 +65,37 @@ def build_gamma(R):
     symmetry. Every strictly-upper entry of R appears exactly once in the
     upper-including-diagonal triangle of the result.
     """
+    R = _check_correlation_shape(R)
+    G = np.triu(R[:-1, 1:])
+    return G + np.triu(G, 1).T
+
+
+def offdiag_indices(q):
+    """Index pair (rows, cols) of the strictly-upper entries of a q x q matrix, row by row.
+
+    This is the order of ``vech(build_gamma(R))``: its k-th entry is
+    ``R[rows[k], cols[k]]``, and ``assemble_sigma`` writes ``v[k]`` there.
+    """
+    return np.triu_indices(q, 1)
+
+
+def offdiag_vech(R):
+    """``vech(build_gamma(R))`` gathered straight from ``R``.
+
+    Equal to the two-step form under ``==``; only the sign of a zero can
+    differ, since ``build_gamma`` adds ``+0.0`` to every entry.
+    """
+    R = _check_correlation_shape(R)
+    return R[offdiag_indices(R.shape[0])]
+
+
+def _check_correlation_shape(R):
     R = np.asarray(R, dtype=float)
     if R.ndim != 2 or R.shape[0] != R.shape[1]:
         raise ValueError(f"correlation matrix must be square, got shape {R.shape}")
     if R.shape[0] < 2:
         raise ValueError("need at least 2 variables")
-    G = np.triu(R[:-1, 1:])
-    return G + np.triu(G, 1).T
+    return R
 
 
 def vech_indices(m):
@@ -110,8 +134,8 @@ def assemble_sigma(v, q):
     expected = q * (q - 1) // 2
     if v.ndim != 1 or v.size != expected:
         raise ValueError(f"expected q(q-1)/2 = {expected} values for q={q}, got {v.size}")
-    iu, ju = np.triu_indices(q - 1)
+    rows, cols = offdiag_indices(q)
     S = np.eye(q)
-    S[iu, ju + 1] = v
-    S[ju + 1, iu] = v
+    S[rows, cols] = v
+    S[cols, rows] = v
     return S

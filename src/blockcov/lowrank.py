@@ -75,10 +75,8 @@ def select_rank_cattell(s, r_max):
     if not 2 <= r_max <= s.size - 1:
         raise ValueError(f"r_max must be in [2, {s.size - 1}], got {r_max}")
     window = min(3 * r_max, s.size)
-    candidates = np.arange(1, r_max + 1)
-    rss = two_segment_scan(s[:window], candidates)
-    r = int(candidates[int(np.argmin(rss))])
-    return RankSelection(r=r, method="cattell", trace={"candidates": candidates, "rss": rss})
+    rss = two_segment_scan(s[:window], np.arange(1, r_max + 1))  # rss[b - 1] is rank b
+    return RankSelection(r=int(np.argmin(rss)) + 1, method="cattell", trace={"rss": rss})
 
 
 def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):

@@ -20,7 +20,8 @@ from .corr import build_gamma, sample_correlation, validate_observations, vech
 from .lowrank import (RankSelection, check_rank, check_scree_size, scree, select_rank_cattell,
                       select_rank_pa, truncate_rank)
 from .permute import dissimilarity, hclust_complete, leaf_order, permute_matrix
-from .psd import InvSqrtResult, PsdConfig, check_threshold, inv_sqrt, nearest_correlation
+from .psd import (InvSqrtResult, PsdConfig, check_count, check_threshold, inv_sqrt,
+                  nearest_correlation)
 from .sparsify import (LambdaSelection, candidate_lambdas, check_cv_samples, check_lambda,
                        hard_threshold, select_lambda_bl, select_lambda_elbow, sparse_sigma)
 
@@ -39,12 +40,9 @@ class PipelineConfig:
     bl_splits: int = 50
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.pa_permutations < 1:
-            raise ValueError(f"pa_permutations must be at least 1, got {self.pa_permutations}")
-        if self.bl_splits < 1:
-            raise ValueError(f"bl_splits must be at least 1, got {self.bl_splits}")
+        check_count("seed", self.seed, 0)
+        check_count("pa_permutations", self.pa_permutations, 1)
+        check_count("bl_splits", self.bl_splits, 1)
 
 
 @dataclass
@@ -72,7 +70,9 @@ class CorrelationEstimate:
     ``diagnostics["projection"]`` records the Newton steps, CG steps,
     eigendecompositions and final diagonal gap of the PSD projection;
     ``diagnostics["selection"]`` the threshold grid size and the BL splits
-    and PA permutations, each ``None`` when its selector did not run.
+    and PA permutations, each ``None`` when its selector did not run;
+    ``diagnostics["eigendecompositions"]`` the full eigendecompositions
+    of each step, keyed by the step names of ``timings``.
     """
 
     sigma_hat: np.ndarray
@@ -204,6 +204,15 @@ def finish(sel, cfg):
         "bl_splits": sel.lam.trace.get("splits"),
         "pa_permutations": sel.rank.trace.get("permutations"),
     }
+    # full eigendecompositions per step: the scree, one per PA permutation and
+    # one for G_r, one per BL split and one for BL's full-data truncation
+    eig = {
+        "correlation": 1,
+        "rank-selection": (selection["pa_permutations"] or 0) + 1,
+        "lambda-selection": selection["bl_splits"] + 1 if selection["bl_splits"] else 0,
+        "psd-projection": proj.eigh_calls,
+        "inverse-square-root": 1,
+    }
     # BL counts its support on its own truncation, which under reordering can
     # differ from G_r by a tie at the threshold; report the estimate's support.
     lam = replace(sel.lam, support_size=int(support.sum()) // 2)
@@ -212,7 +221,7 @@ def finish(sel, cfg):
         rank=sel.rank, lam=lam, permutation=perm, scree=sel.scree,
         inv_sqrt=W, timings=timings,
         diagnostics={"projection": {k: v for k, v in vars(proj).items() if k != "matrix"},
-                     "selection": selection})
+                     "selection": selection, "eigendecompositions": eig})
 
 
 def estimate(X, cfg=None):

@@ -37,8 +37,16 @@ class PsdConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        check_count("max_iter", self.max_iter, 1)
+
+
+def check_count(name, value, minimum):
+    """Reject a count that is not an integer (``bool`` included) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass
@@ -161,7 +169,7 @@ def nearest_correlation(A, cfg=None):
     cur = _Dual(A, 1.0 - np.diag(A))
     eigh_calls, cg_steps, steps = 1, 0, 0
     while (gap := np.linalg.norm(cur.grad) / np.sqrt(q)) > cfg.tol:
-        if steps == cfg.max_iter:
+        if steps >= cfg.max_iter:
             raise ConvergenceError(
                 f"nearest-correlation projection did not converge within {cfg.max_iter} "
                 f"Newton steps (diagonal gap {gap:.3e}, tolerance {cfg.tol:.3e})")

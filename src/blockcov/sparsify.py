@@ -15,7 +15,8 @@ import numpy as np
 
 from ._rng import STREAM_BL, substream
 from ._twoline import two_segment_scan
-from .corr import assemble_sigma, build_gamma, sample_correlation, validate_observations, vech
+from .corr import (assemble_sigma, build_gamma, offdiag_vech, sample_correlation,
+                   validate_observations, vech)
 from .lowrank import truncate_rank
 
 
@@ -49,7 +50,13 @@ def hard_threshold(y, lam):
     """Keep-unshrunk threshold: y_j when |y_j| > lambda/2, else 0."""
     check_lambda(lam)
     y = np.asarray(y, dtype=float)
-    return np.where(np.abs(y) > lam / 2, y, 0.0)
+    # a bit mask instead of np.where, which branches per entry and mispredicts
+    # on half-kept vectors; a dropped entry (NaN and -0.0 too) becomes +0.0.
+    # asarray keeps the mask of a 0-d input an array that ``out=`` can write.
+    keep = np.asarray(np.abs(y) > lam / 2).astype(np.int64)
+    np.negative(keep, out=keep)  # 0 or all ones
+    keep &= y.view(np.int64)
+    return keep.view(np.float64)
 
 
 def candidate_lambdas(y, max_grid=100):
@@ -182,7 +189,7 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
         R1 = sample_correlation(X[mask])
         R2 = sample_correlation(X[~mask])
         y1 = vech(truncate_rank(build_gamma(R1), r))
-        rvec2 = vech(build_gamma(R2))
+        rvec2 = offdiag_vech(R2)
         for k, lam in enumerate(grid):
             b = hard_threshold(y1, lam)
             np.clip(b, -1.0, 1.0, out=b)

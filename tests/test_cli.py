@@ -82,6 +82,9 @@ class TestEstimateCommand:
         assert data["projection"]["diag_gap"] <= 1e-7
         assert data["selection"] == {"lambda_grid_size": 100, "bl_splits": None,
                                      "pa_permutations": None}
+        assert data["eigendecompositions"] == {
+            "correlation": 1, "rank-selection": 1, "lambda-selection": 0,
+            "psd-projection": data["projection"]["eigh_calls"], "inverse-square-root": 1}
         S, _ = read_matrix_csv(sigma_out)
         assert np.all(np.diag(S) == 1.0)
         W, _ = read_matrix_csv(w_out)
@@ -209,6 +212,7 @@ class TestEstimateReport:
         cfg = PipelineConfig(rank_method=rank, lambda_method=lam, reorder=bool(extra), seed=3)
         est = estimate(read_matrix_csv(x)[0], cfg)
         assert np.array_equal(data["scree"], est.scree)
+        assert data["eigendecompositions"] == est.diagnostics["eigendecompositions"]
         for key, trace in (("rank_trace", est.rank.trace), ("lambda_trace", est.lam.trace)):
             assert data[key].keys() == trace.keys()
             for name, curve in trace.items():
@@ -224,7 +228,7 @@ class TestEstimateReport:
         assert run(["estimate", "--input", x, "--out-report", report]) == 0
         data = json.loads(report.read_text())
         assert len(data["scree"]) == 29
-        assert set(data["rank_trace"]) == {"candidates", "rss"}
+        assert set(data["rank_trace"]) == {"rss"}
         assert set(data["lambda_trace"]) == {"grid", "criterion", "support_size", "rss"}
         curve = data["lambda_trace"]
         assert len(curve["grid"]) == len(curve["criterion"]) == len(curve["support_size"])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from blockcov.corr import (assemble_sigma, build_gamma, sample_correlation,
-                           validate_observations, vech, vech_indices)
+from blockcov.corr import (assemble_sigma, build_gamma, offdiag_indices, offdiag_vech,
+                           sample_correlation, validate_observations, vech, vech_indices)
 
 
 def pearson_oracle(X):
@@ -100,6 +100,23 @@ class TestBuildGamma:
         R = sample_correlation(rng.standard_normal((20, q)))
         v = vech(build_gamma(R))
         assert np.array_equal(v, np.array([R[i, j] for i, j in targets]))
+
+
+class TestOffdiagVech:
+    @pytest.mark.parametrize("q", [2, 3, 57])
+    def test_equals_vech_of_gamma(self, q):
+        R = sample_correlation(np.random.default_rng(q).standard_normal((12, q)))
+        assert np.array_equal(offdiag_vech(R), vech(build_gamma(R)))
+
+    def test_reads_where_assemble_sigma_writes(self):
+        rows, cols = offdiag_indices(6)
+        v = np.arange(1.0, 16.0)
+        S = assemble_sigma(v, 6)
+        assert np.array_equal(S[rows, cols], v) and np.array_equal(offdiag_vech(S), v)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            offdiag_vech(np.ones((2, 3)))
 
 
 class TestVech:

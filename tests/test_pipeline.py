@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -111,7 +112,13 @@ class TestEstimate:
         ({"seed": -1}, "seed must be non-negative, got -1"),
         ({"rank_method": "pa", "pa_permutations": 0}, "pa_permutations must be at least 1"),
         ({"lambda_method": "bl", "bl_splits": 0}, "bl_splits must be at least 1"),
-    ], ids=["negative-seed", "zero-permutations", "zero-splits"])
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"rank_method": "pa", "pa_permutations": 2.5}, "pa_permutations must be an integer"),
+        ({"lambda_method": "bl", "bl_splits": 2.5}, "bl_splits must be an integer"),
+        ({"lambda_method": "bl", "bl_splits": 4.0}, "bl_splits must be an integer"),
+    ], ids=["negative-seed", "zero-permutations", "zero-splits", "fractional-seed",
+            "bool-seed", "fractional-permutations", "fractional-splits", "float-splits"])
     def test_bad_config_value_rejected_before_the_correlation(self, monkeypatch, setting,
                                                               message):
         X = np.random.default_rng(6).standard_normal((10, 8))
@@ -121,6 +128,10 @@ class TestEstimate:
         with pytest.raises(ValueError, match=message):
             estimate(X, PipelineConfig(**setting))
         assert correlations == []
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = PipelineConfig(seed=np.int64(3), pa_permutations=np.int32(2), bl_splits=np.int64(2))
+        assert (cfg.seed, cfg.pa_permutations, cfg.bl_splits) == (3, 2, 2)
 
     def test_step_provenance_on_numerical_failure(self):
         truth = build_scenario(ScenarioSpec("extra-diagonal-equal", 30, seed=7))
@@ -208,6 +219,41 @@ class TestEstimate:
         X = sample_gaussian(truth, 15, seed=8)
         cfg = PipelineConfig(rank_method=rank, lambda_method=lam, pa_permutations=7, bl_splits=4)
         assert estimate(X, cfg).diagnostics["selection"] == record
+
+    @pytest.mark.parametrize("rank, lam, reorder", [
+        ("cattell", "elbow", False), ("pa", "bl", False), ("pa", "bl", True), (5, 0.8, False),
+    ], ids=["cattell-elbow", "pa-bl", "pa-bl-reorder", "5-0.8"])
+    def test_eigendecomposition_record_counts_every_call(self, monkeypatch, rank, lam, reorder):
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=4))
+        X, _ = permute_columns(sample_gaussian(truth, 15, seed=4), seed=4)
+        # count numpy's eigendecompositions by the pipeline step they run in
+        counts, steps = {}, []
+        step = blockcov.pipeline._step
+
+        @contextmanager
+        def tracked(name, timings):
+            steps.append(name)
+            try:
+                with step(name, timings):
+                    yield
+            finally:
+                steps.pop()
+
+        def counter(fn):
+            def counted(*args, **kwargs):
+                counts[steps[-1]] = counts.get(steps[-1], 0) + 1
+                return fn(*args, **kwargs)
+            return counted
+        for name in ("eigh", "eigvalsh"):
+            monkeypatch.setattr(np.linalg, name, counter(getattr(np.linalg, name)))
+        monkeypatch.setattr(blockcov.pipeline, "_step", tracked)
+        est = estimate(X, PipelineConfig(rank_method=rank, lambda_method=lam, reorder=reorder,
+                                         pa_permutations=3, bl_splits=4, seed=4))
+        record = est.diagnostics["eigendecompositions"]
+        assert {k: v for k, v in record.items() if v} == counts
+        assert set(record) == {"correlation", "rank-selection", "lambda-selection",
+                               "psd-projection", "inverse-square-root"} <= set(est.timings)
+        assert record["psd-projection"] == est.diagnostics["projection"]["eigh_calls"]
 
 
 class TestWhiten:

@@ -196,6 +196,17 @@ class TestNearestCorrelation:
         with pytest.raises(ValueError):
             PsdConfig(max_iter=0)
 
+    @pytest.mark.parametrize("cap", [3.5, 3.0, True, "3", None])
+    def test_non_integer_cap_rejected(self, cap):
+        # a cap of 3.5 once let the Newton loop run past every step count
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            PsdConfig(max_iter=cap)
+
+    def test_numpy_integer_cap_accepted(self):
+        A = pipeline_s_tilde("extra-diagonal-unequal", 30, 12, 3)
+        with pytest.raises(ConvergenceError, match="within 2 Newton steps"):
+            nearest_correlation(A, PsdConfig(max_iter=np.int64(2), tol=1e-20))
+
 
 class TestInvSqrt:
     def test_identity(self):

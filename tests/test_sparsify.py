@@ -29,6 +29,12 @@ def gather_threshold(y, lam):
     return out
 
 
+def where_threshold(y, lam):
+    # the np.where body hard_threshold had before its bit-mask select
+    y = np.asarray(y, dtype=float)
+    return np.where(np.abs(y) > lam / 2, y, 0.0)
+
+
 def assert_same_bits(got, want):
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
@@ -79,6 +85,29 @@ class TestThresholds:
     def test_hard_matches_the_gather_reference_on_any_shape(self, y):
         for lam in (0.0, 0.5, 1.0, 4.0):
             assert_same_bits(hard_threshold(y, lam), gather_threshold(y, lam))
+
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, 0.4, np.inf])
+    def test_hard_matches_np_where_bit_for_bit(self, lam):
+        # signed zeros, NaN, infinities, subnormals and entries exactly at lambda/2
+        y = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                      0.2, -0.2, 0.7, -0.7, 0.19999999999999998])
+        got = hard_threshold(y, lam)
+        assert np.array_equal(got.view(np.int64), where_threshold(y, lam).view(np.int64))
+        assert got.flags.writeable and not np.shares_memory(got, y)
+
+    @pytest.mark.parametrize("y", [np.float64(-0.5), 0.25, -0.0, np.nan,
+                                   np.linspace(-1, 1, 12).reshape(3, 4),
+                                   np.linspace(-1, 1, 12).reshape(3, 4).T,
+                                   np.linspace(-1, 1, 24)[::-3]],
+                             ids=["0d-numpy", "0d-float", "0d-neg-zero", "0d-nan", "2d",
+                                  "2d-transposed", "strided"])
+    def test_hard_matches_np_where_on_any_layout(self, y):
+        for lam in (0.0, 5e-324, 0.4, 1.0, np.inf):
+            got = hard_threshold(y, lam)
+            want = where_threshold(y, lam)
+            assert isinstance(got, np.ndarray) and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert not np.shares_memory(got, y)
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
