@@ -2,8 +2,10 @@
 
 Plain comma-separated values with '.' as the decimal separator and no
 locale-dependent formatting; an optional first row carries variable
-names. Floats are written with 17 significant digits so a write/read
-round trip is exact.
+names. Values are written as ``%.17g`` (17 significant digits, so a
+write/read round trip is exact), one row per ``\r\n``-terminated line:
+the bytes ``np.savetxt(fmt="%.17g", delimiter=",", newline="\r\n")``
+writes.
 """
 
 import csv
@@ -38,8 +40,46 @@ def read_matrix_csv(path, header=False):
 
 
 def write_matrix_csv(path, M, names=None):
-    """Write a matrix (or vector, as a single column) to CSV."""
+    """Write a matrix (or vector, as a single column) to CSV, one row at a time.
+
+    A float64 matrix equal to its transpose bit for bit has only its upper
+    triangle formatted; the mirrored entries reuse the same text.
+    """
+    M = np.asarray(M)
+    if M.ndim == 1:
+        M = M[:, None]
+    elif M.ndim != 2:
+        raise ValueError(f"expected a 1-d or 2-d array, got {M.ndim}-d")
+    fields = ",".join(["%.17g"] * M.shape[1])
+    lines = _symmetric_rows(M, fields) if _is_symmetric(M) else (
+        fields % tuple(row.tolist()) for row in M)
     with open(path, "w", newline="") as fh:
         if names is not None:
             csv.writer(fh).writerow(names)
-        np.savetxt(fh, M, fmt="%.17g", delimiter=",", newline="\r\n")
+        for line in lines:
+            fh.write(line + "\r\n")
+
+
+def _is_symmetric(M):
+    """Square float64 and equal to its transpose bit for bit (-0.0 differs from +0.0)."""
+    if M.dtype != np.float64 or M.shape[0] != M.shape[1]:
+        return False
+    bits = M.view(np.int64)
+    return np.array_equal(bits, bits.T)
+
+
+def _symmetric_rows(M, fields):
+    """Text rows of a symmetric matrix, formatting only its upper triangle.
+
+    Row i formats ``M[i, i:]`` in one call; its left part is the text that
+    rows 0..i-1 produced for column i. Each row keeps its unused texts in
+    reverse, so the next row pops them in column order and at most about
+    q*q/4 texts are alive at once.
+    """
+    pending = []
+    for i, row in enumerate(M):
+        # "%.17g," is 6 characters, so fields[6 * i:] holds the q - i fields of M[i, i:]
+        right = fields[6 * i:] % tuple(row[i:].tolist())
+        left = ",".join(map(list.pop, pending))
+        pending.append(right.split(",")[:0:-1])
+        yield f"{left},{right}" if i else right

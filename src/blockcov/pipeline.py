@@ -72,7 +72,9 @@ class CorrelationEstimate:
     ``diagnostics["selection"]`` the threshold grid size and the BL splits
     and PA permutations, each ``None`` when its selector did not run;
     ``diagnostics["eigendecompositions"]`` the full eigendecompositions
-    of each step, keyed by the step names of ``timings``.
+    of each step, keyed by the step names of ``timings``;
+    ``diagnostics["inverse_root"]`` the eigenvalues the inverse square root
+    kept and dropped and the extreme eigenvalues of ``sigma_hat``.
     """
 
     sigma_hat: np.ndarray
@@ -112,9 +114,16 @@ def fixed_lambda(G_r, value):
     return LambdaSelection(lam=float(value), method="fixed", support_size=size)
 
 
+def _check_selector(name, value):
+    """Reject a ``bool`` selector, which would otherwise pass as the fixed value 1 or 0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a method name or a number, got {value!r}")
+
+
 def _check_up_front(n, q, cfg):
     """Apply the size and threshold rules of later steps before any numerical work."""
     with _step("rank-selection", {}):
+        _check_selector("rank_method", cfg.rank_method)
         if isinstance(cfg.rank_method, (int, np.integer)):
             check_rank(cfg.rank_method, q - 1)
         elif cfg.rank_method == "cattell":
@@ -122,6 +131,7 @@ def _check_up_front(n, q, cfg):
         elif cfg.rank_method != "pa":
             raise ValueError(f"unknown rank method {cfg.rank_method!r}")
     with _step("lambda-selection", {}):
+        _check_selector("lambda_method", cfg.lambda_method)
         if not isinstance(cfg.lambda_method, str):
             check_lambda(cfg.lambda_method)
         elif cfg.lambda_method == "bl":
@@ -221,7 +231,8 @@ def finish(sel, cfg):
         rank=sel.rank, lam=lam, permutation=perm, scree=sel.scree,
         inv_sqrt=W, timings=timings,
         diagnostics={"projection": {k: v for k, v in vars(proj).items() if k != "matrix"},
-                     "selection": selection, "eigendecompositions": eig})
+                     "selection": selection, "eigendecompositions": eig,
+                     "inverse_root": {k: v for k, v in vars(W).items() if k != "matrix"}})
 
 
 def estimate(X, cfg=None):
@@ -231,9 +242,16 @@ def estimate(X, cfg=None):
 
 
 def whiten(X, est):
-    """Decorrelate the rows of ``X`` with the estimated inverse square root."""
-    X = np.asarray(X, dtype=float)
+    """Standardise the columns of ``X``, then decorrelate its rows with the inverse square root.
+
+    Each column is centred and divided by its sample standard deviation
+    (n - 1 denominator) before ``@ est.inv_sqrt.matrix``: the estimate is a
+    correlation matrix, so its inverse root whitens unit-variance columns,
+    and the result does not depend on the scale or location of a column.
+    """
+    X = validate_observations(X)
     q = est.inv_sqrt.matrix.shape[0]
-    if X.ndim != 2 or X.shape[1] != q:
+    if X.shape[1] != q:
         raise ValueError(f"observations of shape {X.shape} do not match a {q}-variable estimate")
-    return X @ est.inv_sqrt.matrix
+    Z = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+    return Z @ est.inv_sqrt.matrix

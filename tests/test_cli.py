@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import numpy as np
@@ -194,6 +195,20 @@ class TestEstimateCommand:
         assert code == 0
         order, _ = read_matrix_csv(order_path)
         assert np.array_equal(np.sort(order[:, 0]), np.arange(20))
+
+    def test_reorder_outputs_are_savetxt_of_the_estimate(self, tmp_path):
+        x, _, _ = simulate_files(tmp_path, q=30, n=20, seed=9, extra=["--permute-columns"])
+        outs = {name: tmp_path / f"{name}.csv" for name in ("sigma", "invsqrt", "order")}
+        assert run(["estimate", "--input", x, "--reorder", "--out-sigma", outs["sigma"],
+                    "--out-invsqrt", outs["invsqrt"], "--out-order", outs["order"]]) == 0
+        est = estimate(read_matrix_csv(x)[0], PipelineConfig(reorder=True))
+        for name, M in (("sigma", est.sigma_hat), ("invsqrt", est.inv_sqrt.matrix),
+                        ("order", est.permutation)):
+            if M.ndim == 2:
+                assert np.array_equal(M.view(np.int64), M.T.view(np.int64)), name
+            reference = io.BytesIO()
+            np.savetxt(reference, M, fmt="%.17g", delimiter=",", newline="\r\n")
+            assert outs[name].read_bytes() == reference.getvalue(), name
 
 
 class TestEstimateReport:

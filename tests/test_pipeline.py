@@ -97,7 +97,9 @@ class TestEstimate:
         ("rank-selection", {"rank_method": "nope"}),
         ("lambda-selection", {"lambda_method": "nope"}),
         ("lambda-selection", {"lambda_method": -0.5}),
-    ], ids=["unknown-rank", "unknown-lambda", "negative-lambda"])
+        ("rank-selection", {"rank_method": True}),
+        ("lambda-selection", {"lambda_method": True}),
+    ], ids=["unknown-rank", "unknown-lambda", "negative-lambda", "bool-rank", "bool-lambda"])
     def test_bad_selector_rejected_before_the_correlation(self, monkeypatch, step, setting):
         X = np.random.default_rng(6).standard_normal((10, 8))
         correlations = []
@@ -220,6 +222,20 @@ class TestEstimate:
         cfg = PipelineConfig(rank_method=rank, lambda_method=lam, pa_permutations=7, bl_splits=4)
         assert estimate(X, cfg).diagnostics["selection"] == record
 
+    def test_inverse_root_record_counts_the_kept_spectrum(self):
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=4))
+        X, _ = permute_columns(sample_gaussian(truth, 15, seed=4), seed=4)
+        est = estimate(X, PipelineConfig(reorder=True, inv_sqrt_threshold=0.5))
+        record = est.diagnostics["inverse_root"]
+        W = est.inv_sqrt
+        assert record == {"kept": W.kept, "dropped": W.dropped,
+                          "eig_min": W.eig_min, "eig_max": W.eig_max}
+        w = np.linalg.eigvalsh(est.sigma_hat)
+        assert record["dropped"] == np.count_nonzero(w <= 0.5) > 0
+        assert record["kept"] + record["dropped"] == 30
+        assert abs(record["eig_min"] - w[0]) <= 1e-10
+        assert abs(record["eig_max"] - w[-1]) <= 1e-10
+
     @pytest.mark.parametrize("rank, lam, reorder", [
         ("cattell", "elbow", False), ("pa", "bl", False), ("pa", "bl", True), (5, 0.8, False),
     ], ids=["cattell-elbow", "pa-bl", "pa-bl-reorder", "5-0.8"])
@@ -257,14 +273,23 @@ class TestEstimate:
 
 
 class TestWhiten:
-    def test_identity_estimate_leaves_data_unchanged(self):
+    def test_identity_estimate_only_standardises(self):
         rng = np.random.default_rng(9)
-        X = rng.standard_normal((12, 6))
+        X = rng.standard_normal((12, 6)) * [1.0, 2.0, 0.5, 10.0, 1e-3, 3.0] + 5.0
         est = CorrelationEstimate(
             sigma_hat=np.eye(6), sigma_tilde=np.eye(6),
             support=np.zeros((6, 6), dtype=bool), rank=None, lam=None,
             permutation=np.arange(6), scree=None, inv_sqrt=inv_sqrt(np.eye(6), 0.0))
-        assert np.allclose(whiten(X, est), X, atol=1e-12)
+        Z = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+        assert np.allclose(whiten(X, est), Z, atol=1e-12)
+
+    def test_column_scale_and_location_do_not_matter(self):
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 20, seed=11))
+        X = sample_gaussian(truth, 40, seed=11)
+        est = estimate(X, PipelineConfig(seed=11))
+        scale = np.geomspace(0.1, 10.0, 20)
+        shift = np.linspace(-50.0, 50.0, 20)
+        assert np.allclose(whiten(X * scale + shift, est), whiten(X, est), atol=1e-10)
 
     def test_true_sigma_whitens_large_sample(self):
         truth = build_scenario(ScenarioSpec("diagonal-equal", 10, seed=10))
