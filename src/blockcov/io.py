@@ -53,7 +53,8 @@ def write_matrix_csv(path, M, names=None):
     fields = ",".join(["%.17g"] * M.shape[1])
     lines = _symmetric_rows(M, fields) if _is_symmetric(M) else (
         fields % tuple(row.tolist()) for row in M)
-    with open(path, "w", newline="") as fh:
+    # a 64 KiB buffer makes one system call per several rows, not one per row
+    with open(path, "w", newline="", buffering=1 << 16) as fh:
         if names is not None:
             csv.writer(fh).writerow(names)
         for line in lines:
