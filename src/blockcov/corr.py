@@ -7,6 +7,8 @@ covariance. This module provides the correlation computation, the
 rearrangement and its half-vectorization, and the inverse assembly step.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -70,13 +72,32 @@ def build_gamma(R):
     return G + np.triu(G, 1).T
 
 
+def _read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+# The index maps are built once per size and shared, so they are read-only;
+# a pipeline run needs two sizes (q and q - 1), and a small bound keeps the
+# caches from growing with every size a long-lived process meets.
+@lru_cache(maxsize=4)
 def offdiag_indices(q):
     """Index pair (rows, cols) of the strictly-upper entries of a q x q matrix, row by row.
 
     This is the order of ``vech(build_gamma(R))``: its k-th entry is
     ``R[rows[k], cols[k]]``, and ``assemble_sigma`` writes ``v[k]`` there.
+    The arrays are cached per ``q`` and read-only.
     """
-    return np.triu_indices(q, 1)
+    rows, cols = np.triu_indices(q, 1)
+    return _read_only(rows), _read_only(cols)
+
+
+@lru_cache(maxsize=4)
+def _flat_positions(index_map, m):
+    # row-major positions of index_map(m) in an m x m matrix: a 1-d take
+    # gathers the same entries as the 2-d fancy index, at a quarter of its cost
+    rows, cols = index_map(m)
+    return _read_only(rows * m + cols)
 
 
 def offdiag_vech(R):
@@ -86,7 +107,7 @@ def offdiag_vech(R):
     differ, since ``build_gamma`` adds ``+0.0`` to every entry.
     """
     R = _check_correlation_shape(R)
-    return R[offdiag_indices(R.shape[0])]
+    return R.take(_flat_positions(offdiag_indices, R.shape[0]))
 
 
 def _check_correlation_shape(R):
@@ -98,14 +119,16 @@ def _check_correlation_shape(R):
     return R
 
 
+@lru_cache(maxsize=4)
 def vech_indices(m):
     """Index pair (rows, cols) addressing the entries of ``vech``.
 
     ``vech(A)[k] == A[rows[k], cols[k]]``; the order is column-major over
-    the lower-including-diagonal triangle.
+    the lower-including-diagonal triangle. The arrays are cached per ``m``
+    and read-only.
     """
     iu, ju = np.triu_indices(m)
-    return ju, iu
+    return _read_only(ju), _read_only(iu)
 
 
 def vech(A):
@@ -118,8 +141,7 @@ def vech(A):
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"vech needs a square matrix, got shape {A.shape}")
-    rows, cols = vech_indices(A.shape[0])
-    return A[rows, cols]
+    return A.take(_flat_positions(vech_indices, A.shape[0]))
 
 
 def assemble_sigma(v, q):

@@ -137,6 +137,24 @@ class TestVech:
             vech(np.ones((2, 3)))
 
 
+class TestIndexMaps:
+    @pytest.mark.parametrize("index_map", [vech_indices, offdiag_indices])
+    def test_built_once_and_read_only(self, index_map):
+        rows, cols = index_map(7)
+        assert index_map(7)[0] is rows and index_map(7)[1] is cols
+        for a in (rows, cols):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1
+        assert np.array_equal(index_map(7)[0], rows)
+
+    def test_gathers_match_the_index_pairs_on_any_layout(self):
+        A = np.random.default_rng(6).standard_normal((8, 8))
+        for M in (A, A.T, np.asfortranarray(A), A[::2, ::2], A[1:, :-1]):
+            m = M.shape[0]
+            assert np.array_equal(vech(M), M[vech_indices(m)])
+            assert np.array_equal(offdiag_vech(M), M[offdiag_indices(m)])
+
+
 class TestAssembleSigma:
     def test_zeros_give_identity(self):
         assert np.array_equal(assemble_sigma(np.zeros(6), 4), np.eye(4))

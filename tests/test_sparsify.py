@@ -1,15 +1,20 @@
 import itertools
+import threading
 
 import numpy as np
 import pytest
 
+import blockcov.sparsify
 from blockcov._rng import STREAM_BL, substream
+from blockcov.cli import main
 from blockcov.corr import build_gamma, sample_correlation, vech
+from blockcov.io import write_matrix_csv
 from blockcov.lowrank import truncate_rank
+from blockcov.pipeline import PipelineConfig, PipelineError, estimate
 from blockcov.simulate import ScenarioSpec, build_scenario, sample_gaussian
-from blockcov.sparsify import (candidate_lambdas, default_train_size, hard_threshold,
-                               select_lambda_bl, select_lambda_elbow, soft_threshold,
-                               sparse_sigma, support_lambda)
+from blockcov.sparsify import (_PREFETCH_MIN_Q, _one_ahead, candidate_lambdas,
+                               default_train_size, hard_threshold, select_lambda_bl,
+                               select_lambda_elbow, soft_threshold, sparse_sigma, support_lambda)
 
 
 def scan_oracle(y, lam, soft):
@@ -310,18 +315,38 @@ def bl_loss_reference(X, r, grid, n_splits, seed):
     return loss, np.array(peaks)
 
 
+def assert_bl_matches_reference(q, data_seed):
+    X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", q,
+                                                    seed=data_seed)), 30, seed=data_seed)
+    grid = candidate_lambdas(vech(truncate_rank(build_gamma(sample_correlation(X)), 5)))
+    sel = select_lambda_bl(X, 5, grid, n_splits=5, seed=0)
+    loss, peaks = bl_loss_reference(X, 5, grid, 5, 0)
+    # one split's truncation leaves [-1, 1], so the clip changes its loss
+    assert np.any(peaks > 1.0) and np.any(peaks <= 1.0)
+    assert np.array_equal(sel.trace["loss"], loss)
+    assert sel.lam == grid[int(np.argmin(loss))]
+    assert sel.trace["splits"] == 5
+
+
 class TestSelectLambdaBL:
     def test_loss_is_bit_identical_to_the_reference_loop(self):
-        X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", 60, seed=0)),
-                            30, seed=0)
-        grid = candidate_lambdas(vech(truncate_rank(build_gamma(sample_correlation(X)), 5)))
-        sel = select_lambda_bl(X, 5, grid, n_splits=5, seed=0)
-        loss, peaks = bl_loss_reference(X, 5, grid, 5, 0)
-        # one split's truncation leaves [-1, 1], so the clip changes its loss
-        assert np.any(peaks > 1.0) and np.any(peaks <= 1.0)
-        assert np.array_equal(sel.trace["loss"], loss)
-        assert sel.lam == grid[int(np.argmin(loss))]
-        assert sel.trace["splits"] == 5
+        assert 60 < _PREFETCH_MIN_Q  # the serial path
+        assert_bl_matches_reference(60, 0)
+
+    def test_threaded_loss_is_bit_identical_to_the_reference_loop(self, monkeypatch):
+        assert 120 >= _PREFETCH_MIN_Q
+        # truncate_rank is looked up as a module global, so this wrapper sees
+        # the thread each split is prepared on
+        threads = []
+
+        def recording(G, r):
+            threads.append(threading.get_ident())
+            return truncate_rank(G, r)
+
+        monkeypatch.setattr(blockcov.sparsify, "truncate_rank", recording)
+        assert_bl_matches_reference(120, 4)
+        assert len(threads) == 6  # five splits and the full-data support count
+        assert threading.get_ident() not in threads[:5] and threads[5] == threading.get_ident()
 
     def test_singleton_grid(self):
         rng = np.random.default_rng(9)
@@ -361,3 +386,89 @@ class TestSelectLambdaBL:
         rng = np.random.default_rng(12)
         with pytest.raises(ValueError, match="5 samples"):
             select_lambda_bl(rng.standard_normal((3, 4)), 2, np.array([0.0]))
+
+
+class TestOneAhead:
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_yields_in_order(self, threaded):
+        assert list(_one_ahead(lambda i: i * i, 6, threaded)) == [0, 1, 4, 9, 16, 25]
+        assert list(_one_ahead(lambda i: i + 10, 1, threaded)) == [10]
+        assert list(_one_ahead(lambda i: i, 0, threaded)) == []
+
+    def test_next_item_is_computed_while_the_caller_works(self):
+        second_started = threading.Event()
+
+        def fn(i):
+            if i == 1:
+                second_started.set()
+            return i
+
+        for i in _one_ahead(fn, 3, threaded=True):
+            if i == 0:
+                assert second_started.wait(timeout=30)
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_exception_surfaces_at_its_index(self, threaded):
+        before = threading.active_count()
+        calls, got = [], []
+
+        def fn(i):
+            calls.append(i)
+            if i == 2:
+                raise ValueError("split 2 failed")
+            return i
+
+        with pytest.raises(ValueError, match="split 2 failed"):
+            for item in _one_ahead(fn, 6, threaded):
+                got.append(item)
+        assert got == [0, 1] and calls == [0, 1, 2]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("threaded", [False, True])
+    def test_consumer_that_stops_early_leaves_no_thread(self, threaded):
+        before = threading.active_count()
+        calls = []
+        items = _one_ahead(lambda i: calls.append(i) or i, 10, threaded)
+        assert next(items) == 0
+        items.close()
+        # at most the one split prepared ahead was computed
+        assert calls == ([0, 1] if threaded else [0])
+        assert threading.active_count() == before
+        for item in _one_ahead(lambda i: i, 10, threaded):
+            if item == 3:
+                break
+        assert threading.active_count() == before
+
+
+class TestFailingSplit:
+    # column 7 is constant except in row 0, so every split has a zero-variance
+    # column on its training or its held-out side; q = 120 takes the threaded path
+    @pytest.fixture
+    def X(self):
+        X = np.random.default_rng(13).standard_normal((10, 120))
+        X[:, 7] = 0.5
+        X[0, 7] = 1.5
+        return X
+
+    @pytest.mark.parametrize("min_q", [_PREFETCH_MIN_Q, 10 ** 9], ids=["threaded", "serial"])
+    def test_selector_raises_the_split_error(self, X, monkeypatch, min_q):
+        monkeypatch.setattr(blockcov.sparsify, "_PREFETCH_MIN_Q", min_q)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="column 7 has zero sample variance"):
+            select_lambda_bl(X, 3, np.array([0.0, 0.5]), n_splits=4, seed=0)
+        assert threading.active_count() == before
+
+    def test_pipeline_names_the_step(self, X):
+        before = threading.active_count()
+        with pytest.raises(PipelineError, match="lambda-selection") as exc:
+            estimate(X, PipelineConfig(rank_method=3, lambda_method="bl"))
+        assert "column 7 has zero sample variance" in str(exc.value)
+        assert threading.active_count() == before
+
+    def test_cli_exits_one(self, X, tmp_path, capsys):
+        before = threading.active_count()
+        write_matrix_csv(tmp_path / "X.csv", X)
+        assert main(["estimate", "--input", str(tmp_path / "X.csv"), "--rank", "3",
+                     "--lambda", "bl"]) == 1
+        assert "lambda-selection" in capsys.readouterr().err
+        assert threading.active_count() == before
