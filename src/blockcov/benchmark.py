@@ -14,11 +14,11 @@ from time import perf_counter
 
 from ._rng import STREAM_BENCH, derive_seed
 from .baselines import block_constant_estimator, kmeans_columns
-from .corr import check_sample_count, sample_correlation, vech
+from .corr import check_sample_count, sample_correlation
 from .metrics import frobenius_error, support_confusion
 from .permute import cut_tree, dissimilarity, hclust_complete, permute_matrix
 from .pipeline import PipelineConfig, estimate, finish, fixed_lambda, select
-from .psd import inv_sqrt, whitening_error
+from .psd import check_count, inv_sqrt, whitening_error
 from .simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 from .sparsify import check_cv_samples, support_lambda
 
@@ -60,12 +60,9 @@ def run_benchmark(cfg):
         check_sample_count(n)
         if "blocks" in cfg.methods:  # the only method that cross-validates
             check_cv_samples(n)
-    if cfg.reps < 1:
-        raise ValueError(f"reps must be at least 1, got {cfg.reps}")
-    if cfg.jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {cfg.jobs}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
+    check_count("reps", cfg.reps, 1)
+    check_count("jobs", cfg.jobs, 1)
+    check_count("seed", cfg.seed, 0)
     tasks = [(cfg, si, scenario, n, q, rep)
              for si, scenario in enumerate(cfg.scenarios)
              for n in cfg.n_list
@@ -155,5 +152,5 @@ def _run_pipeline(method, X, true_size, cfg, si, q, n, rep):
     if method != "blocks_real":
         return estimate(X, pipe_cfg)
     sel = select(X, pipe_cfg)
-    lam = fixed_lambda(sel.G_r, support_lambda(vech(sel.G_r), true_size))
+    lam = fixed_lambda(sel.y, support_lambda(sel.y, true_size))
     return finish(replace(sel, lam=lam), pipe_cfg)

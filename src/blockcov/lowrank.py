@@ -13,6 +13,7 @@ import numpy as np
 from ._rng import STREAM_PA, substream
 from ._twoline import two_segment_scan
 from .corr import build_gamma, sample_correlation, validate_observations
+from .psd import check_count
 
 
 @dataclass
@@ -92,8 +93,7 @@ def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
     is bit-reproducible and independent of evaluation order.
     """
     X = validate_observations(X)
-    if n_perm < 1:
-        raise ValueError(f"n_perm must be at least 1, got {n_perm}")
+    check_count("n_perm", n_perm, 1)
     if not 0 < quantile <= 1:
         raise ValueError(f"quantile must be in (0, 1], got {quantile}")
     n, q = X.shape

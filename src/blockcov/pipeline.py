@@ -47,12 +47,12 @@ class PipelineConfig:
 
 @dataclass
 class Selection:
-    """Output of ``select``; ``G_r`` is in the working (possibly reordered) order."""
+    """Output of ``select``; ``y = vech(G_r)`` is in the working (possibly reordered) order."""
 
     permutation: np.ndarray
     scree: np.ndarray
     rank: RankSelection
-    G_r: np.ndarray
+    y: np.ndarray
     lam: LambdaSelection
     timings: dict
 
@@ -108,9 +108,9 @@ def _step(name, timings):
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
 
 
-def fixed_lambda(G_r, value):
-    """Selection record of a caller-chosen threshold, with its support size."""
-    size = int(np.count_nonzero(hard_threshold(vech(G_r), value)))
+def fixed_lambda(y, value):
+    """Selection record of a caller-chosen threshold, with its support size on ``y``."""
+    size = int(np.count_nonzero(hard_threshold(y, value)))
     return LambdaSelection(lam=float(value), method="fixed", support_size=size)
 
 
@@ -170,19 +170,19 @@ def select(X, cfg):
             rank = select_rank_cattell(s, r_max=max(2, min(n - 1, q - 2, 50)))
         else:
             rank = select_rank_pa(X, s, n_perm=cfg.pa_permutations, seed=cfg.seed)
-        G_r = truncate_rank(G, rank.r)
+        y = vech(truncate_rank(G, rank.r))
 
     with _step("lambda-selection", timings):
         if isinstance(cfg.lambda_method, str):
-            grid = candidate_lambdas(vech(G_r))
+            grid = candidate_lambdas(y)
             if cfg.lambda_method == "elbow":
-                lam = select_lambda_elbow(G, G_r, grid)
+                lam = select_lambda_elbow(vech(G), y, grid)
             else:
                 lam = select_lambda_bl(X, rank.r, grid, n_splits=cfg.bl_splits, seed=cfg.seed)
         else:
-            lam = fixed_lambda(G_r, cfg.lambda_method)
+            lam = fixed_lambda(y, cfg.lambda_method)
 
-    return Selection(permutation=perm, scree=s, rank=rank, G_r=G_r, lam=lam, timings=timings)
+    return Selection(permutation=perm, scree=s, rank=rank, y=y, lam=lam, timings=timings)
 
 
 def finish(sel, cfg):
@@ -191,7 +191,7 @@ def finish(sel, cfg):
     timings = dict(sel.timings)
 
     with _step("lambda-selection", timings):
-        S_tilde = sparse_sigma(sel.G_r, sel.lam.lam, perm.size)
+        S_tilde = sparse_sigma(sel.y, sel.lam.lam, perm.size)
 
     with _step("psd-projection", timings):
         proj = nearest_correlation(S_tilde, cfg.psd)

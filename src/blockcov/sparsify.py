@@ -19,6 +19,7 @@ from ._twoline import two_segment_scan
 from .corr import (assemble_sigma, build_gamma, offdiag_vech, sample_correlation,
                    validate_observations, vech)
 from .lowrank import truncate_rank
+from .psd import check_count
 
 
 @dataclass
@@ -70,8 +71,7 @@ def candidate_lambdas(y, max_grid=100):
     y = np.asarray(y, dtype=float)
     if y.size == 0:
         raise ValueError("empty coefficient vector")
-    if max_grid < 2:
-        raise ValueError(f"max_grid must be at least 2, got {max_grid}")
+    check_count("max_grid", max_grid, 2)
     vals = np.unique(np.concatenate([[0.0], 2.0 * np.abs(y)]))
     if vals.size > max_grid:
         pick = np.unique(np.round(np.linspace(0, vals.size - 1, max_grid)).astype(int))
@@ -87,63 +87,60 @@ def support_lambda(y, size):
     support size to the estimator.
     """
     y = np.asarray(y, dtype=float)
-    if size < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
+    check_count("size", size, 0)
     mags = np.sort(np.abs(y))[::-1]
     if size >= np.count_nonzero(mags):
         return 0.0
     return 2.0 * float(mags[size])
 
 
-def sparse_sigma(G_r, lam, q):
-    """Sparse unit-diagonal estimate assembled from a rank-truncated arrangement.
+def sparse_sigma(y, lam, q):
+    """Sparse unit-diagonal estimate from ``y = vech(G_r)``, the half-vectorized truncation.
 
-    Hard-thresholds the half-vectorization of ``G_r``, rebuilds the q x q
-    matrix, and clamps entries to [-1, 1] (truncation can push them
-    slightly outside).
+    Hard-thresholds ``y``, clamps it to [-1, 1] (truncation can push entries
+    slightly outside) and places it in a q x q matrix with unit diagonal.
     """
-    G_r = np.asarray(G_r, dtype=float)
-    if G_r.shape != (q - 1, q - 1):
-        raise ValueError(f"expected a {q - 1} x {q - 1} matrix for q={q}, got shape {G_r.shape}")
-    S = assemble_sigma(hard_threshold(vech(G_r), lam), q)
-    return np.clip(S, -1.0, 1.0)
+    return assemble_sigma(np.clip(hard_threshold(y, lam), -1.0, 1.0), q)
 
 
-def _criterion_curve(rvec, y, grid):
-    # ||R - Sigma~(lambda)||_F via the off-diagonal vectors: the diagonals
-    # of both matrices are exactly 1, so only the (doubled) upper triangle
-    # contributes. In ascending |y| order hard thresholding drops a prefix,
-    # so each grid point costs a prefix sum of rvec^2 over the dropped
-    # entries plus a suffix sum of (rvec - clip(y))^2 over the kept ones;
-    # the cut uses hard_threshold's own test |y| > lambda/2.
-    mag = np.abs(y)
-    order = np.argsort(mag, kind="stable")
-    mag, r = mag[order], rvec[order]
-    dropped = np.concatenate([[0.0], np.cumsum(r * r)])
-    kept_sq = (r - np.clip(y[order], -1.0, 1.0)) ** 2
-    kept = np.concatenate([np.cumsum(kept_sq[::-1])[::-1], [0.0]])
-    cut = np.searchsorted(mag, grid / 2, side="right")
-    curve = np.sqrt(2.0 * (dropped[cut] + kept[cut]))
-    return curve, y.size - cut
+def _threshold_loss(rvec, y, grid):
+    # ||R - Sigma~(lambda)||_F^2 on every point of an ascending grid, via the
+    # off-diagonal vectors: both diagonals are exactly 1, so only the doubled
+    # upper triangle counts. Entry j is kept at grid point k iff k < c_j, which
+    # is hard_threshold's strict test |y_j| > grid[k]/2; binning on c_j turns
+    # the dropped entries into a prefix sum and the kept ones into a suffix sum.
+    c = np.searchsorted(grid / 2, np.abs(y), side="left")
+    bins = grid.size + 1
+    dropped = np.cumsum(np.bincount(c, rvec * rvec, minlength=bins))[:-1]
+    kept_sq = (rvec - np.clip(y, -1.0, 1.0)) ** 2
+    kept = np.cumsum(np.bincount(c, kept_sq, minlength=bins)[::-1])[::-1][1:]
+    support = np.cumsum(np.bincount(c, minlength=bins)[::-1])[::-1][1:]
+    return 2.0 * (dropped + kept), support
 
 
-def select_lambda_elbow(G, G_r, grid):
+def select_lambda_elbow(rvec, y, grid):
     """Threshold at the kink of lambda -> ||R - Sigma~(lambda)||_F.
 
-    ``G`` is ``build_gamma(R)`` and ``G_r`` its rank truncation. The curve
-    is evaluated on the grid and, for every interior breakpoint of the
-    (grid index, criterion) points, one line is fit to each side (the
-    breakpoint itself belongs to both). The grid value at the best
-    breakpoint is returned; ties go to the smaller index.
+    ``rvec`` is ``vech(build_gamma(R))`` and ``y`` is ``vech(G_r)``, the
+    half-vectorized rank truncation; ``grid`` holds ascending,
+    non-negative thresholds (``inf`` allowed). The curve is evaluated on
+    the grid and, for every interior breakpoint of the (grid index,
+    criterion) points, one line is fit to each side (the breakpoint itself
+    belongs to both). The grid value at the best breakpoint is returned;
+    ties go to the smaller index.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 4:
         raise ValueError(f"grid needs at least 4 points, got {grid.size}")
+    if not np.all(grid >= 0):
+        raise ValueError("grid points must be non-negative, not NaN")
     if np.any(np.diff(grid) < 0):
         raise ValueError("grid must be ascending")
-    rvec = vech(np.asarray(G, dtype=float))
-    y = vech(np.asarray(G_r, dtype=float))
-    curve, support = _criterion_curve(rvec, y, grid)
+    rvec, y = np.asarray(rvec, dtype=float), np.asarray(y, dtype=float)
+    if rvec.ndim != 1 or rvec.shape != y.shape:
+        raise ValueError(f"rvec {rvec.shape} and y {y.shape} must be 1-d vectors of one length")
+    loss, support = _threshold_loss(rvec, y, grid)
+    curve = np.sqrt(loss)
     breaks = np.arange(1, grid.size - 1)
     rss = two_segment_scan(curve, breaks)
     pick = int(breaks[int(np.argmin(rss))])
@@ -213,8 +210,7 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     if grid.size == 0:
         raise ValueError("empty threshold grid")
     check_cv_samples(n)
-    if n_splits < 1:
-        raise ValueError(f"n_splits must be at least 1, got {n_splits}")
+    check_count("n_splits", n_splits, 1)
     train_size = default_train_size(n)
 
     def split(i):

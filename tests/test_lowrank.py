@@ -4,6 +4,7 @@ import pytest
 from blockcov._rng import STREAM_PA, substream
 from blockcov.corr import build_gamma, sample_correlation
 from blockcov.lowrank import scree, select_rank_cattell, select_rank_pa, truncate_rank
+from blockcov.sparsify import select_lambda_bl
 
 
 def observed_scree(X):
@@ -193,8 +194,11 @@ class TestSelectRankPA:
 
     def test_parameter_validation(self):
         X = np.random.default_rng(10).standard_normal((10, 5))
-        with pytest.raises(ValueError, match="n_perm"):
-            select_rank_pa(X, observed_scree(X), n_perm=0)
+        for bad in (0, 2.5, True):
+            with pytest.raises(ValueError, match="n_perm"):
+                select_rank_pa(X, observed_scree(X), n_perm=bad)
+            with pytest.raises(ValueError, match="n_splits"):
+                select_lambda_bl(X, 2, np.array([0.0, 0.5]), n_splits=bad)
         with pytest.raises(ValueError, match="quantile"):
             select_rank_pa(X, observed_scree(X), quantile=0.0)
         with pytest.raises(ValueError, match="scree values"):

@@ -54,7 +54,7 @@ def pipeline_s_tilde(scenario, q, n, seed):
     # the projection's input in the pipeline: thresholded cattell + elbow estimate
     truth = build_scenario(ScenarioSpec(scenario, q, seed=seed))
     sel = select(sample_gaussian(truth, n, seed=seed), PipelineConfig(seed=seed))
-    return sparse_sigma(sel.G_r, sel.lam.lam, q)
+    return sparse_sigma(sel.y, sel.lam.lam, q)
 
 
 def random_inputs():

@@ -142,6 +142,11 @@ class TestCandidateLambdas:
         with pytest.raises(ValueError, match="empty"):
             candidate_lambdas(np.array([]))
 
+    @pytest.mark.parametrize("max_grid", [1, 2.5, True])
+    def test_rejects_bad_max_grid(self, max_grid):
+        with pytest.raises(ValueError, match="max_grid"):
+            candidate_lambdas(np.array([0.3, -0.5, 0.1]), max_grid=max_grid)
+
 
 class TestSupportLambda:
     def test_hits_target_sizes(self):
@@ -152,33 +157,38 @@ class TestSupportLambda:
             got = int(np.count_nonzero(hard_threshold(y, lam)))
             assert got == min(size, 40)
 
+    @pytest.mark.parametrize("size", [-1, 1.5, True])
+    def test_rejects_bad_size(self, size):
+        with pytest.raises(ValueError, match="size"):
+            support_lambda(np.array([0.3, -0.5, 0.1]), size)
+
 
 class TestSparseSigma:
     def test_identity_pass_through(self):
         rng = np.random.default_rng(4)
         R = sample_correlation(rng.standard_normal((30, 8)))
-        S = sparse_sigma(build_gamma(R), 0.0, 8)
+        S = sparse_sigma(vech(build_gamma(R)), 0.0, 8)
         assert np.allclose(S, R, atol=1e-15)
 
     def test_everything_thresholded(self):
         rng = np.random.default_rng(5)
         R = sample_correlation(rng.standard_normal((10, 6)))
         lam = 2 * np.abs(vech(build_gamma(R))).max() + 0.1
-        assert np.array_equal(sparse_sigma(build_gamma(R), lam, 6), np.eye(6))
+        assert np.array_equal(sparse_sigma(vech(build_gamma(R)), lam, 6), np.eye(6))
 
     def test_exact_scenario_support_at_half(self):
         truth = build_scenario(ScenarioSpec("diagonal-equal", 40, seed=0))
-        S = sparse_sigma(build_gamma(truth.Sigma), 0.5, 40)
+        S = sparse_sigma(vech(build_gamma(truth.Sigma)), 0.5, 40)
         got = S != 0
         np.fill_diagonal(got, False)
         assert np.array_equal(got, truth.support)
 
     def test_support_size_non_increasing_in_lambda(self):
         rng = np.random.default_rng(6)
-        G = build_gamma(sample_correlation(rng.standard_normal((12, 10))))
+        y = vech(build_gamma(sample_correlation(rng.standard_normal((12, 10)))))
         sizes = []
         for lam in np.linspace(0, 2.1, 25):
-            S = sparse_sigma(G, lam, 10)
+            S = sparse_sigma(y, lam, 10)
             sizes.append(np.count_nonzero(np.triu(S, 1)))
         assert np.all(np.diff(sizes) <= 0)
 
@@ -186,7 +196,8 @@ class TestSparseSigma:
 def elbow_oracle(R, G_r, grid):
     # full-matrix criterion and an lstsq breakpoint scan, sharing the vertex
     q = R.shape[0]
-    curve = np.array([np.linalg.norm(R - sparse_sigma(G_r, lam, q)) for lam in grid])
+    y = vech(G_r)
+    curve = np.array([np.linalg.norm(R - sparse_sigma(y, lam, q)) for lam in grid])
     x = np.arange(len(grid), dtype=float)
 
     def rss(xs, ys):
@@ -204,9 +215,8 @@ def elbow_oracle(R, G_r, grid):
     return grid[best_b], curve
 
 
-def criterion_oracle(G, G_r, grid):
+def criterion_oracle(rvec, y, grid):
     # per-grid definition: threshold, clip and compare again at every grid point
-    rvec, y = vech(G), vech(G_r)
     curve, support = [], []
     for lam in grid:
         b = np.clip(hard_threshold(y, lam), -1.0, 1.0)
@@ -237,7 +247,7 @@ class TestSelectLambdaElbow:
             R = sample_correlation(rng.standard_normal((15, 12)))
             G_r = truncate_rank(build_gamma(R), 3)
             grid = candidate_lambdas(vech(G_r), max_grid=20)
-            sel = select_lambda_elbow(build_gamma(R), G_r, grid)
+            sel = select_lambda_elbow(vech(build_gamma(R)), vech(G_r), grid)
             lam_ref, curve_ref = elbow_oracle(R, G_r, grid)
             assert sel.lam == lam_ref
             assert np.allclose(sel.trace["criterion"], curve_ref, atol=1e-10)
@@ -245,19 +255,24 @@ class TestSelectLambdaElbow:
     @pytest.mark.parametrize("m, seed", [(11, 0), (39, 1), (120, 2)])
     def test_sorted_curve_matches_per_grid_definition(self, m, seed):
         # entries beyond [-1, 1] exercise the clip, exact zeros and repeated
-        # magnitudes sit on the cut, and every grid point is exactly some 2|y_j|
+        # magnitudes sit on the cut. The candidate grids put every point on
+        # some 2|y_j|; the linspace grid puts its inner points between them,
+        # and the last two grids repeat a point and start above 0.
         rng = np.random.default_rng(seed)
-        G = symmetric(rng.uniform(-1.0, 1.0, size=(m, m)))
+        rvec = vech(symmetric(rng.uniform(-1.0, 1.0, size=(m, m))))
         B = rng.uniform(-1.6, 1.6, size=(m, m))
         B[rng.random((m, m)) < 0.2] = 0.0
         B[rng.random((m, m)) < 0.1] = 0.5
-        G_r = symmetric(B)
-        y = vech(G_r)
+        y = vech(symmetric(B))
         assert np.any(np.abs(y) > 1) and np.any(y == 0)
-        for grid in (candidate_lambdas(y, max_grid=y.size + 1), candidate_lambdas(y, max_grid=17)):
-            assert np.all(np.isin(grid[1:] / 2, np.abs(y)))
-            sel = select_lambda_elbow(G, G_r, grid)
-            curve, support = criterion_oracle(G, G_r, grid)
+        full, coarse = candidate_lambdas(y, max_grid=y.size + 1), candidate_lambdas(y, max_grid=17)
+        assert all(np.all(np.isin(grid[1:] / 2, np.abs(y))) for grid in (full, coarse))
+        between = np.linspace(0.0, 3.3, 23)
+        assert not np.any(np.isin(between[1:-1] / 2, np.abs(y)))
+        repeated = np.sort(np.append(coarse, coarse[5]))
+        for grid in (full, coarse, between, repeated, coarse[3:]):
+            sel = select_lambda_elbow(rvec, y, grid)
+            curve, support = criterion_oracle(rvec, y, grid)
             assert np.allclose(sel.trace["criterion"], curve, rtol=1e-12, atol=0)
             assert np.array_equal(sel.trace["support_size"], support)
 
@@ -271,15 +286,40 @@ class TestSelectLambdaElbow:
     def test_criterion_non_decreasing_for_full_rank(self):
         rng = np.random.default_rng(8)
         R = sample_correlation(rng.standard_normal((14, 9)))
-        G = build_gamma(R)
-        grid = candidate_lambdas(vech(G), max_grid=30)
-        sel = select_lambda_elbow(G, G, grid)
+        rvec = vech(build_gamma(R))
+        grid = candidate_lambdas(rvec, max_grid=30)
+        sel = select_lambda_elbow(rvec, rvec, grid)
         assert np.all(np.diff(sel.trace["criterion"]) >= -1e-12)
 
     def test_grid_too_short(self):
-        R = np.eye(4)
+        y = vech(build_gamma(np.eye(4)))
         with pytest.raises(ValueError, match="4 points"):
-            select_lambda_elbow(build_gamma(R), build_gamma(R), np.array([0.0, 0.1, 0.2]))
+            select_lambda_elbow(y, y, np.array([0.0, 0.1, 0.2]))
+
+    @pytest.mark.parametrize("grid, match", [
+        ([0.0, 0.1, np.nan, 0.3, 0.5], "non-negative, not NaN"),
+        ([-0.1, 0.1, 0.2, 0.3, 0.5], "non-negative, not NaN"),
+        ([0.0, 0.3, 0.2, 0.4, 0.5], "grid must be ascending"),
+    ], ids=["nan", "negative", "descending"])
+    def test_bad_grid_rejected(self, grid, match):
+        y = np.random.default_rng(14).uniform(-1.0, 1.0, 10)
+        with pytest.raises(ValueError, match=match):
+            select_lambda_elbow(y, y, grid)
+
+    def test_infinite_grid_point_drops_everything(self):
+        rng = np.random.default_rng(15)
+        rvec, y = rng.uniform(-1.0, 1.0, 10), rng.uniform(-1.0, 1.0, 10)
+        sel = select_lambda_elbow(rvec, y, [0.0, 0.2, 0.4, 0.6, np.inf])
+        assert sel.trace["support_size"][-1] == 0
+        assert sel.trace["criterion"][-1] == pytest.approx(np.sqrt(2.0 * rvec @ rvec), rel=1e-15)
+
+    @pytest.mark.parametrize("rvec, y", [
+        (np.zeros(6), np.zeros(5)),
+        (np.zeros((2, 3)), np.zeros((2, 3))),
+    ], ids=["two-lengths", "matrices"])
+    def test_vectors_must_match(self, rvec, y):
+        with pytest.raises(ValueError, match="1-d vectors of one length"):
+            select_lambda_elbow(rvec, y, np.array([0.0, 0.1, 0.2, 0.3]))
 
 
 def bl_oracle(X, r, grid, splits):
@@ -293,7 +333,7 @@ def bl_oracle(X, r, grid, splits):
         R2 = sample_correlation(X[~mask])
         G_r = truncate_rank(build_gamma(R1), r)
         for k, lam in enumerate(grid):
-            losses[k] += np.linalg.norm(sparse_sigma(G_r, lam, q) - R2) ** 2
+            losses[k] += np.linalg.norm(sparse_sigma(vech(G_r), lam, q) - R2) ** 2
     return grid[int(np.argmin(losses))], losses
 
 
