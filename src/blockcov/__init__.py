@@ -14,7 +14,7 @@ from .metrics import frobenius_error, support_confusion
 from .permute import (Dendrogram, cut_tree, dissimilarity, hclust_complete, leaf_order,
                       permute_matrix)
 from .pipeline import CorrelationEstimate, PipelineConfig, PipelineError, estimate, whiten
-from .psd import (ConvergenceError, InvSqrtResult, ProjectionResult, PsdConfig, inv_sqrt,
+from .psd import (ConvergenceError, InvSqrtResult, ProjectionResult, inv_sqrt,
                   nearest_correlation, whitening_error)
 from .simulate import SCENARIOS, GroundTruth, ScenarioSpec, build_scenario, permute_columns, \
     sample_gaussian
@@ -28,7 +28,7 @@ __all__ = [
     "RankSelection", "scree", "select_rank_cattell", "select_rank_pa", "truncate_rank",
     "LambdaSelection", "candidate_lambdas", "hard_threshold", "soft_threshold",
     "select_lambda_bl", "select_lambda_elbow", "sparse_sigma", "support_lambda",
-    "ConvergenceError", "InvSqrtResult", "ProjectionResult", "PsdConfig", "inv_sqrt",
+    "ConvergenceError", "InvSqrtResult", "ProjectionResult", "inv_sqrt",
     "nearest_correlation", "whitening_error",
     "Dendrogram", "cut_tree", "dissimilarity", "hclust_complete", "leaf_order",
     "permute_matrix",

@@ -9,6 +9,8 @@ or worker count.
 
 import numpy as np
 
+from .corr import check_count
+
 # Purpose tags keep substreams of unrelated components disjoint even when
 # they share a user seed.
 STREAM_PA = 1
@@ -20,17 +22,17 @@ STREAM_KMEANS = 6
 STREAM_BENCH = 7
 
 
+def _seed_sequence(seed, key):
+    # a fractional or bool seed would otherwise be truncated to another seed's stream
+    check_count("seed", seed, 0)
+    return np.random.SeedSequence((int(seed),) + tuple(int(k) for k in key))
+
+
 def substream(seed, *key):
     """Generator for stream ``key`` of the given seed."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    entropy = (int(seed),) + tuple(int(k) for k in key)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    return np.random.default_rng(_seed_sequence(seed, key))
 
 
 def derive_seed(seed, *key):
     """Deterministic integer seed for stream ``key``, for APIs that take seeds."""
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
-    entropy = (int(seed),) + tuple(int(k) for k in key)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    return int(_seed_sequence(seed, key).generate_state(1, np.uint64)[0])

@@ -21,7 +21,6 @@ import numpy as np
 from .benchmark import METHODS, BenchmarkConfig, run_benchmark, write_results
 from .io import read_matrix_csv, write_matrix_csv
 from .pipeline import PipelineConfig, PipelineError, estimate
-from .psd import PsdConfig
 from .simulate import SCENARIOS, ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 
 
@@ -72,13 +71,6 @@ def _build_parser():
                      help="cluster variables first and estimate in leaf order")
     est.add_argument("--inv-sqrt-threshold", type=float, default=defaults.inv_sqrt_threshold,
                      help="eigenvalues at most this are dropped from the inverse square root")
-    est.add_argument("--psd-tol", type=float, default=defaults.psd.tol,
-                     help="the PSD projection stops when the RMS gap between the diagonal "
-                          "and 1 is at most this (default: %(default)s)")
-    est.add_argument("--psd-max-iter", type=int, default=defaults.psd.max_iter,
-                     help="most Newton steps of the PSD projection; it converges in under "
-                          "ten, so only an unreachable --psd-tol meets the cap "
-                          "(default: %(default)s)")
     est.add_argument("--out-sigma", help="write the estimated matrix here (CSV)")
     est.add_argument("--out-invsqrt", help="write the inverse square root here (CSV)")
     est.add_argument("--out-order", help="write the clustering leaf order used by "
@@ -146,7 +138,6 @@ def _cmd_estimate(args):
         rank_method=_number_or_name(args.rank),
         lambda_method=_number_or_name(args.lam),
         reorder=args.reorder,
-        psd=PsdConfig(tol=args.psd_tol, max_iter=args.psd_max_iter),
         inv_sqrt_threshold=args.inv_sqrt_threshold,
         seed=args.seed,
     )

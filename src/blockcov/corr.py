@@ -12,6 +12,15 @@ from functools import lru_cache
 import numpy as np
 
 
+def check_count(name, value, minimum):
+    """Reject a count that is not an integer (``bool`` included) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 def check_sample_count(n):
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")

@@ -12,8 +12,7 @@ import numpy as np
 
 from ._rng import STREAM_PA, substream
 from ._twoline import two_segment_scan
-from .corr import build_gamma, sample_correlation, validate_observations
-from .psd import check_count
+from .corr import build_gamma, check_count, sample_correlation, validate_observations
 
 
 @dataclass

@@ -16,12 +16,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corr import build_gamma, sample_correlation, validate_observations, vech
+from .corr import build_gamma, check_count, sample_correlation, validate_observations, vech
 from .lowrank import (RankSelection, check_rank, check_scree_size, scree, select_rank_cattell,
                       select_rank_pa, truncate_rank)
 from .permute import dissimilarity, hclust_complete, leaf_order, permute_matrix
-from .psd import (InvSqrtResult, PsdConfig, check_count, check_threshold, inv_sqrt,
-                  nearest_correlation)
+from .psd import InvSqrtResult, check_threshold, inv_sqrt, nearest_correlation
 from .sparsify import (LambdaSelection, candidate_lambdas, check_cv_samples, check_lambda,
                        hard_threshold, select_lambda_bl, select_lambda_elbow, sparse_sigma)
 
@@ -33,7 +32,6 @@ class PipelineConfig:
     rank_method: str | int = "cattell"     # "cattell", "pa", or a fixed rank
     lambda_method: str | float = "elbow"   # "elbow", "bl", or a fixed threshold
     reorder: bool = False
-    psd: PsdConfig = field(default_factory=PsdConfig)
     inv_sqrt_threshold: float = 0.1
     seed: int = 0
     pa_permutations: int = 50
@@ -194,7 +192,7 @@ def finish(sel, cfg):
         S_tilde = sparse_sigma(sel.y, sel.lam.lam, perm.size)
 
     with _step("psd-projection", timings):
-        proj = nearest_correlation(S_tilde, cfg.psd)
+        proj = nearest_correlation(S_tilde)
         S_hat = proj.matrix
 
     with _step("inverse-square-root", timings):

@@ -14,39 +14,16 @@ from dataclasses import dataclass
 import numpy as np
 
 EIG_FLOOR = 1e-8  # smallest eigenvalue of a projection, relative to the largest
+# The projection stops once the RMS diagonal gap ||diag(X) - 1|| / sqrt(q) of
+# the PSD iterate X is at most DIAG_TOL, and fails after MAX_NEWTON_STEPS
+# Newton steps; Newton converges in under ten, so the cap only stops a
+# gap that rounding keeps above the tolerance.
+DIAG_TOL = 1e-7
+MAX_NEWTON_STEPS = 50
 _ARMIJO = 1e-4     # sufficient-decrease fraction of the line search
 _MIN_STEP = 2.0 ** -40  # a line search that must cut the step below this has failed
 _CG_SHIFT = 1e-10  # keeps the generalised Jacobian definite (Qi and Sun's perturbation)
 _CG_MAX = 200     # CG steps per Newton step; an unfinished solve is still a descent direction
-
-
-@dataclass
-class PsdConfig:
-    """Numerical controls of the nearest-correlation projection.
-
-    ``tol`` bounds the RMS diagonal gap ``||diag(X) - 1|| / sqrt(q)`` of
-    the PSD iterate ``X``; ``max_iter`` caps the Newton steps, each one
-    eigendecomposition plus any line-search retries. The pipeline's inputs
-    converge in under ten steps, also at thousands of columns, so the
-    default cap of 50 only bounds how long an unreachable ``tol`` runs.
-    """
-
-    tol: float = 1e-7
-    max_iter: int = 50
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        check_count("max_iter", self.max_iter, 1)
-
-
-def check_count(name, value, minimum):
-    """Reject a count that is not an integer (``bool`` included) or is below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        bound = "non-negative" if minimum == 0 else f"at least {minimum}"
-        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass
@@ -150,29 +127,28 @@ def _pcg(matvec, precond, b, rtol):
     return x, steps
 
 
-def nearest_correlation(A, cfg=None):
+def nearest_correlation(A):
     """Nearest correlation matrix by the dual Newton method.
 
     Minimises ``0.5 ||(A + diag y)_+||^2 - sum(y)`` over ``y``: each Newton
     step solves the generalised-Jacobian system by preconditioned CG and
     takes an Armijo line search, one eigendecomposition per trial point.
     It stops when the RMS diagonal gap of ``X = (A + diag y)_+`` is at most
-    ``cfg.tol``; more than ``cfg.max_iter`` Newton steps, or a line search
-    that cannot descend, raises ConvergenceError. The eigenvalues of ``X``
-    are then floored at ``EIG_FLOOR`` times the largest one and the result
-    is rescaled to an exactly-unit diagonal, so it is strictly positive
-    definite and safe to eigendecompose downstream.
+    ``DIAG_TOL``; more than ``MAX_NEWTON_STEPS`` Newton steps, or a line
+    search that cannot descend, raises ConvergenceError. The eigenvalues of
+    ``X`` are then floored at ``EIG_FLOOR`` times the largest one and the
+    result is rescaled to an exactly-unit diagonal, so it is strictly
+    positive definite and safe to eigendecompose downstream.
     """
-    cfg = PsdConfig() if cfg is None else cfg
     A = _check_square(A, "input")
     q = A.shape[0]
     cur = _Dual(A, 1.0 - np.diag(A))
     eigh_calls, cg_steps, steps = 1, 0, 0
-    while (gap := np.linalg.norm(cur.grad) / np.sqrt(q)) > cfg.tol:
-        if steps >= cfg.max_iter:
+    while (gap := np.linalg.norm(cur.grad) / np.sqrt(q)) > DIAG_TOL:
+        if steps >= MAX_NEWTON_STEPS:
             raise ConvergenceError(
-                f"nearest-correlation projection did not converge within {cfg.max_iter} "
-                f"Newton steps (diagonal gap {gap:.3e}, tolerance {cfg.tol:.3e})")
+                f"nearest-correlation projection did not converge within {MAX_NEWTON_STEPS} "
+                f"Newton steps (diagonal gap {gap:.3e}, tolerance {DIAG_TOL:.3e})")
         steps += 1
         matvec, precond = cur.jacobian()
         dy, k = _pcg(matvec, precond, -cur.grad, min(0.1, np.sqrt(q) * gap))

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import STREAM_COLPERM, STREAM_SAMPLE, STREAM_SCENARIO, substream
+from .corr import check_sample_count
 
 SCENARIOS = ("diagonal-equal", "diagonal-unequal", "extra-diagonal-equal", "extra-diagonal-unequal")
 
@@ -108,8 +109,7 @@ def sample_gaussian(truth, n, seed=0):
     with negative eigenvalues clipped at zero; a fixed seed reproduces the
     output bit for bit.
     """
-    if n < 2:
-        raise ValueError(f"need at least 2 samples, got {n}")
+    check_sample_count(n)
     w, V = np.linalg.eigh(truth.Sigma)
     root = (V * np.sqrt(np.maximum(w, 0.0))) @ V.T
     rng = substream(seed, STREAM_SAMPLE)

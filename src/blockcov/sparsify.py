@@ -16,10 +16,9 @@ import numpy as np
 
 from ._rng import STREAM_BL, substream
 from ._twoline import two_segment_scan
-from .corr import (assemble_sigma, build_gamma, offdiag_vech, sample_correlation,
+from .corr import (assemble_sigma, build_gamma, check_count, offdiag_vech, sample_correlation,
                    validate_observations, vech)
 from .lowrank import truncate_rank
-from .psd import check_count
 
 
 @dataclass

@@ -7,6 +7,7 @@ import pytest
 
 import blockcov.benchmark
 import blockcov.pipeline
+import blockcov.psd
 from blockcov.cli import main
 from blockcov.corr import sample_correlation
 from blockcov.io import read_matrix_csv, write_matrix_csv
@@ -101,11 +102,21 @@ class TestEstimateCommand:
         assert code == 1
         assert "--input" in capsys.readouterr().err
 
-    def test_numerical_failure_exits_two_naming_step(self, tmp_path, capsys):
+    def test_numerical_failure_exits_two_naming_step(self, tmp_path, capsys, monkeypatch):
+        # a line search that demands more decrease than any step gives fails
+        monkeypatch.setattr(blockcov.psd, "_ARMIJO", 1e6)
+        monkeypatch.setattr(blockcov.psd, "_MIN_STEP", 1.0)
         x, _, _ = simulate_files(tmp_path, q=30, n=12, seed=3)
-        code = run(["estimate", "--input", x, "--psd-max-iter", 1, "--psd-tol", 1e-12])
+        code = run(["estimate", "--input", x])
         assert code == 2
         assert "psd-projection" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value", [("--psd-tol", 1e-9), ("--psd-max-iter", 5)])
+    def test_removed_projection_flags_are_rejected(self, tmp_path, capsys, flag, value):
+        # the projection's numerics are fixed; a script that still sets them fails loudly
+        x, _, _ = simulate_files(tmp_path, q=30, n=12, seed=3)
+        assert run(["estimate", "--input", x, flag, value]) == 1
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, shape, flags, step", [
         ("estimate", (50, 100), ["--rank", 500], "rank-selection"),

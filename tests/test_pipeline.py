@@ -11,7 +11,8 @@ from blockcov.corr import build_gamma, sample_correlation, vech
 from blockcov.lowrank import scree, truncate_rank
 from blockcov.metrics import support_confusion
 from blockcov.pipeline import CorrelationEstimate, PipelineConfig, PipelineError, estimate, whiten
-from blockcov.psd import PsdConfig, inv_sqrt
+import blockcov.psd
+from blockcov.psd import DIAG_TOL, inv_sqrt
 from blockcov.simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 from blockcov.sparsify import hard_threshold
 
@@ -135,12 +136,14 @@ class TestEstimate:
         cfg = PipelineConfig(seed=np.int64(3), pa_permutations=np.int32(2), bl_splits=np.int64(2))
         assert (cfg.seed, cfg.pa_permutations, cfg.bl_splits) == (3, 2, 2)
 
-    def test_step_provenance_on_numerical_failure(self):
+    def test_step_provenance_on_numerical_failure(self, monkeypatch):
+        # a line search that demands more decrease than any step gives fails
+        monkeypatch.setattr(blockcov.psd, "_ARMIJO", 1e6)
+        monkeypatch.setattr(blockcov.psd, "_MIN_STEP", 1.0)
         truth = build_scenario(ScenarioSpec("extra-diagonal-equal", 30, seed=7))
         X = sample_gaussian(truth, 12, seed=7)
-        cfg = PipelineConfig(psd=PsdConfig(max_iter=1, tol=1e-12), seed=7)
         with pytest.raises(PipelineError, match="psd-projection") as exc:
-            estimate(X, cfg)
+            estimate(X, PipelineConfig(seed=7))
         assert exc.value.step == "psd-projection"
 
     def test_trace_and_timings_populated(self):
@@ -166,7 +169,7 @@ class TestEstimate:
         record = est.diagnostics["projection"]
         assert record["eigh_calls"] == traced["iterations"] + 1
         assert record["eigh_calls"] > record["newton_steps"] >= 1
-        assert record["diag_gap"] <= PipelineConfig().psd.tol
+        assert record["diag_gap"] <= DIAG_TOL
 
     def test_parallel_analysis_reuses_the_observed_scree(self, monkeypatch):
         truth = build_scenario(ScenarioSpec("diagonal-equal", 20, seed=8))

@@ -4,7 +4,7 @@ import pytest
 import blockcov.psd
 from blockcov.corr import sample_correlation
 from blockcov.pipeline import PipelineConfig, select
-from blockcov.psd import (_CG_SHIFT, EIG_FLOOR, ConvergenceError, InvSqrtResult, PsdConfig,
+from blockcov.psd import (_CG_SHIFT, DIAG_TOL, EIG_FLOOR, ConvergenceError, InvSqrtResult,
                           _Dual, inv_sqrt, nearest_correlation, whitening_error)
 from blockcov.simulate import ScenarioSpec, build_scenario, sample_gaussian
 from blockcov.sparsify import sparse_sigma
@@ -120,12 +120,15 @@ class TestNearestCorrelation:
             assert np.array_equal(out, out.T)
             assert np.linalg.eigvalsh(out)[0] >= -1e-8
 
-    def test_iteration_cap_raises(self):
+    def test_iteration_cap_raises(self, monkeypatch):
         # one Newton step leaves a diagonal gap of ~7e-11 on this input
+        monkeypatch.setattr(blockcov.psd, "DIAG_TOL", 1e-12)
         A = np.array([[1.0, 0.9, -0.9], [0.9, 1.0, 0.9], [-0.9, 0.9, 1.0]])
+        monkeypatch.setattr(blockcov.psd, "MAX_NEWTON_STEPS", 1)
         with pytest.raises(ConvergenceError, match="1 Newton steps"):
-            nearest_correlation(A, PsdConfig(max_iter=1, tol=1e-12))
-        assert nearest_correlation(A, PsdConfig(max_iter=2, tol=1e-12)).newton_steps == 2
+            nearest_correlation(A)
+        monkeypatch.setattr(blockcov.psd, "MAX_NEWTON_STEPS", 2)
+        assert nearest_correlation(A).newton_steps == 2
 
     def test_failed_line_search_names_the_newton_step(self, monkeypatch):
         # demand more decrease than any step gives, and allow no step shortening
@@ -152,7 +155,7 @@ class TestNearestCorrelation:
         ref = naive_dykstra(A)
         res = nearest_correlation(A)
         assert np.linalg.norm(res.matrix - ref) <= 1e-5 * np.linalg.norm(ref)
-        assert res.diag_gap <= PsdConfig().tol
+        assert res.diag_gap <= DIAG_TOL
         assert res.eigh_calls >= res.newton_steps + 1
 
     @pytest.mark.parametrize("offset", [0.0, 1.3], ids=["few-negative", "few-positive"])
@@ -174,38 +177,21 @@ class TestNearestCorrelation:
     @pytest.mark.parametrize("scenario, seed", [("extra-diagonal-equal", 7),
                                                 ("extra-diagonal-unequal", 3),
                                                 ("diagonal-equal", 3)])
-    def test_tight_tolerance_converges_despite_rounding(self, scenario, seed):
+    def test_tight_tolerance_converges_despite_rounding(self, scenario, seed, monkeypatch):
         # near the solution the Armijo decrease falls below the rounding error
         # of the dual objective; the line search must still accept the step
+        monkeypatch.setattr(blockcov.psd, "DIAG_TOL", 1e-12)
         A = pipeline_s_tilde(scenario, 30, 12, seed)
-        res = nearest_correlation(A, PsdConfig(tol=1e-12))
+        res = nearest_correlation(A)
         assert res.newton_steps <= 10
         assert res.diag_gap <= 1e-12
 
-    def test_unreachable_tolerance_stops_at_the_default_cap(self):
+    def test_unreachable_tolerance_stops_at_the_default_cap(self, monkeypatch):
         # a gap of 1e-20 is below rounding, so only the cap of 50 steps ends the loop
+        monkeypatch.setattr(blockcov.psd, "DIAG_TOL", 1e-20)
         A = pipeline_s_tilde("extra-diagonal-unequal", 30, 12, 3)
         with pytest.raises(ConvergenceError, match="within 50 Newton steps"):
-            nearest_correlation(A, PsdConfig(tol=1e-20))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PsdConfig(tol=0.0)
-        with pytest.raises(ValueError):
-            PsdConfig(tol=float("nan"))
-        with pytest.raises(ValueError):
-            PsdConfig(max_iter=0)
-
-    @pytest.mark.parametrize("cap", [3.5, 3.0, True, "3", None])
-    def test_non_integer_cap_rejected(self, cap):
-        # a cap of 3.5 once let the Newton loop run past every step count
-        with pytest.raises(ValueError, match="max_iter must be an integer"):
-            PsdConfig(max_iter=cap)
-
-    def test_numpy_integer_cap_accepted(self):
-        A = pipeline_s_tilde("extra-diagonal-unequal", 30, 12, 3)
-        with pytest.raises(ConvergenceError, match="within 2 Newton steps"):
-            nearest_correlation(A, PsdConfig(max_iter=np.int64(2), tol=1e-20))
+            nearest_correlation(A)
 
 
 class TestInvSqrt:

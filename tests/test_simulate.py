@@ -131,3 +131,21 @@ class TestPermuteColumns:
         _, p1 = permute_columns(X, seed=4)
         _, p2 = permute_columns(X, seed=4)
         assert np.array_equal(p1, p2)
+
+
+@pytest.mark.parametrize("seed", [2.5, 1.9, 4.0, True, -1])
+def test_seed_that_is_not_a_count_is_rejected(seed):
+    # truncating 2.5 would draw seed 2's stream and True seed 1's
+    truth = build_scenario(ScenarioSpec("diagonal-unequal", 20))
+    for draw in (lambda: build_scenario(ScenarioSpec("diagonal-unequal", 20, seed=seed)),
+                 lambda: sample_gaussian(truth, 5, seed=seed),
+                 lambda: permute_columns(np.eye(3), seed=seed)):
+        with pytest.raises(ValueError, match="seed must be"):
+            draw()
+
+
+def test_numpy_integer_seed_draws_the_same_stream():
+    truth = build_scenario(ScenarioSpec("diagonal-unequal", 20, seed=np.uint64(2)))
+    assert np.array_equal(truth.Z, build_scenario(ScenarioSpec("diagonal-unequal", 20, seed=2)).Z)
+    assert np.array_equal(sample_gaussian(truth, 5, seed=np.int32(1)),
+                          sample_gaussian(truth, 5, seed=1))
