@@ -76,7 +76,8 @@ def _build_parser():
     est.add_argument("--out-order", help="write the clustering leaf order used by "
                                          "--reorder here (single-column CSV)")
     est.add_argument("--out-report", help="write a JSON report (rank, lambda, support size, "
-                                          "eigenvalue extremes, timings, projection and "
+                                          "eigenvalue extremes, wall and CPU timings, "
+                                          "selector threads, projection and "
                                           "selection work, eigendecompositions per step, "
                                           "and the selection curves: "
                                           "scree, rank_trace, lambda_trace)")
@@ -164,6 +165,8 @@ def _cmd_estimate(args):
             "inv_sqrt_dropped": est.inv_sqrt.dropped,
             "reordered": bool(args.reorder),
             "timings_s": {k: round(v, 6) for k, v in est.timings.items()},
+            "cpu_s": {k: round(v, 6) for k, v in est.diagnostics["cpu_s"].items()},
+            "threads": est.diagnostics["threads"],
             "projection": est.diagnostics["projection"],
             "selection": est.diagnostics["selection"],
             "eigendecompositions": est.diagnostics["eigendecompositions"],

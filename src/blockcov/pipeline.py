@@ -53,6 +53,7 @@ class Selection:
     y: np.ndarray
     lam: LambdaSelection
     timings: dict
+    cpu_s: dict
 
 
 @dataclass
@@ -70,7 +71,10 @@ class CorrelationEstimate:
     ``diagnostics["selection"]`` the threshold grid size and the BL splits
     and PA permutations, each ``None`` when its selector did not run;
     ``diagnostics["eigendecompositions"]`` the full eigendecompositions
-    of each step, keyed by the step names of ``timings``;
+    of each step, keyed by the step names of ``timings``, which holds wall
+    seconds; ``diagnostics["cpu_s"]`` the CPU seconds of the process in
+    each step, all threads together; ``diagnostics["threads"]`` the threads
+    each selector ran its replicates on (BLAS threads not counted);
     ``diagnostics["inverse_root"]`` the eigenvalues the inverse square root
     kept and dropped and the extreme eigenvalues of ``sigma_hat``.
     """
@@ -96,14 +100,16 @@ class PipelineError(RuntimeError):
 
 
 @contextmanager
-def _step(name, timings):
-    start = time.perf_counter()
+def _step(name, timings, cpu_s):
+    """Name the step in any error; add its wall and process CPU seconds to the two records."""
+    start, cpu_start = time.perf_counter(), time.process_time()
     try:
         yield
     except Exception as exc:
         raise PipelineError(name, exc) from exc
     finally:
         timings[name] = timings.get(name, 0.0) + time.perf_counter() - start
+        cpu_s[name] = cpu_s.get(name, 0.0) + time.process_time() - cpu_start
 
 
 def fixed_lambda(y, value):
@@ -120,7 +126,7 @@ def _check_selector(name, value):
 
 def _check_up_front(n, q, cfg):
     """Apply the size and threshold rules of later steps before any numerical work."""
-    with _step("rank-selection", {}):
+    with _step("rank-selection", {}, {}):
         _check_selector("rank_method", cfg.rank_method)
         if isinstance(cfg.rank_method, (int, np.integer)):
             check_rank(cfg.rank_method, q - 1)
@@ -128,7 +134,7 @@ def _check_up_front(n, q, cfg):
             check_scree_size(q - 1)
         elif cfg.rank_method != "pa":
             raise ValueError(f"unknown rank method {cfg.rank_method!r}")
-    with _step("lambda-selection", {}):
+    with _step("lambda-selection", {}, {}):
         _check_selector("lambda_method", cfg.lambda_method)
         if not isinstance(cfg.lambda_method, str):
             check_lambda(cfg.lambda_method)
@@ -136,7 +142,7 @@ def _check_up_front(n, q, cfg):
             check_cv_samples(n)
         elif cfg.lambda_method != "elbow":
             raise ValueError(f"unknown lambda method {cfg.lambda_method!r}")
-    with _step("inverse-square-root", {}):
+    with _step("inverse-square-root", {}, {}):
         check_threshold(cfg.inv_sqrt_threshold)
 
 
@@ -145,23 +151,23 @@ def select(X, cfg):
     X = validate_observations(X)
     n, q = X.shape
     _check_up_front(n, q, cfg)
-    timings = {}
+    timings, cpu_s = {}, {}
 
-    with _step("correlation", timings):
+    with _step("correlation", timings, cpu_s):
         R = sample_correlation(X)
 
     perm = np.arange(q)
-    with _step("reorder", timings):
+    with _step("reorder", timings, cpu_s):
         if cfg.reorder:
             perm = leaf_order(hclust_complete(dissimilarity(R)))
             X = X[:, perm]
             R = permute_matrix(R, perm)
 
-    with _step("correlation", timings):
+    with _step("correlation", timings, cpu_s):
         G = build_gamma(R)
         s = scree(G)
 
-    with _step("rank-selection", timings):
+    with _step("rank-selection", timings, cpu_s):
         if isinstance(cfg.rank_method, (int, np.integer)):
             rank = RankSelection(r=int(cfg.rank_method), method="fixed")
         elif cfg.rank_method == "cattell":
@@ -170,7 +176,7 @@ def select(X, cfg):
             rank = select_rank_pa(X, s, n_perm=cfg.pa_permutations, seed=cfg.seed)
         y = vech(truncate_rank(G, rank.r))
 
-    with _step("lambda-selection", timings):
+    with _step("lambda-selection", timings, cpu_s):
         if isinstance(cfg.lambda_method, str):
             grid = candidate_lambdas(y)
             if cfg.lambda_method == "elbow":
@@ -180,25 +186,26 @@ def select(X, cfg):
         else:
             lam = fixed_lambda(y, cfg.lambda_method)
 
-    return Selection(permutation=perm, scree=s, rank=rank, y=y, lam=lam, timings=timings)
+    return Selection(permutation=perm, scree=s, rank=rank, y=y, lam=lam, timings=timings,
+                     cpu_s=cpu_s)
 
 
 def finish(sel, cfg):
     """Finishing stage: threshold, PSD projection, inverse root, original order."""
     perm = sel.permutation
-    timings = dict(sel.timings)
+    timings, cpu_s = dict(sel.timings), dict(sel.cpu_s)
 
-    with _step("lambda-selection", timings):
+    with _step("lambda-selection", timings, cpu_s):
         S_tilde = sparse_sigma(sel.y, sel.lam.lam, perm.size)
 
-    with _step("psd-projection", timings):
+    with _step("psd-projection", timings, cpu_s):
         proj = nearest_correlation(S_tilde)
         S_hat = proj.matrix
 
-    with _step("inverse-square-root", timings):
+    with _step("inverse-square-root", timings, cpu_s):
         W = inv_sqrt(S_hat, cfg.inv_sqrt_threshold)
 
-    with _step("back-permutation", timings):
+    with _step("back-permutation", timings, cpu_s):
         if cfg.reorder:
             S_hat = permute_matrix(S_hat, perm, inverse=True)
             S_tilde = permute_matrix(S_tilde, perm, inverse=True)
@@ -229,7 +236,9 @@ def finish(sel, cfg):
         rank=sel.rank, lam=lam, permutation=perm, scree=sel.scree,
         inv_sqrt=W, timings=timings,
         diagnostics={"projection": {k: v for k, v in vars(proj).items() if k != "matrix"},
-                     "selection": selection, "eigendecompositions": eig,
+                     "selection": selection, "eigendecompositions": eig, "cpu_s": cpu_s,
+                     "threads": {"rank-selection": sel.rank.trace.get("threads", 1),
+                                 "lambda-selection": sel.lam.trace.get("threads", 1)},
                      "inverse_root": {k: v for k, v in vars(W).items() if k != "matrix"}})
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import STREAM_COLPERM, STREAM_SAMPLE, STREAM_SCENARIO, substream
-from .corr import check_sample_count
+from .corr import check_count, check_sample_count
 
 SCENARIOS = ("diagonal-equal", "diagonal-unequal", "extra-diagonal-equal", "extra-diagonal-unequal")
 
@@ -41,8 +41,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.kind not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.kind!r}; expected one of {SCENARIOS}")
-        if self.q < 10:
-            raise ValueError(f"q must be at least 10 so every block is non-empty, got {self.q}")
+        check_count("q", self.q, 10)  # so every block is non-empty
+        check_count("seed", self.seed, 0)
 
 
 @dataclass

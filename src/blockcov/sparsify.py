@@ -18,7 +18,7 @@ from ._rng import STREAM_BL, substream
 from ._twoline import two_segment_scan
 from .corr import (assemble_sigma, build_gamma, check_count, offdiag_vech, sample_correlation,
                    validate_observations, vech)
-from .lowrank import truncate_rank
+from .lowrank import _THREADS_MIN_Q, truncate_rank
 
 
 @dataclass
@@ -159,13 +159,6 @@ def check_cv_samples(n):
         raise ValueError(f"need at least 5 samples for cross-validation, got {n}")
 
 
-# From this many variables on, BL prepares the next split on a worker thread
-# while the caller scores the current one. Below it the hand-off costs about
-# what the overlap saves: threaded/serial BL time with one BLAS thread on two
-# cores was 1.0-1.25 at q = 80, 0.89-0.98 at q = 90 and 0.64 at q = 200.
-_PREFETCH_MIN_Q = 90
-
-
 def _one_ahead(fn, count, threaded):
     """Yield ``fn(0), ..., fn(count - 1)`` in order.
 
@@ -197,7 +190,7 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     rather than re-selected per split. Split ``i`` draws from substream
     ``i`` of ``seed``.
 
-    From q = 90 variables on (``_PREFETCH_MIN_Q``), one worker thread
+    From q = 90 variables on (``_THREADS_MIN_Q``), one worker thread
     prepares the next split (its two correlations and the rank truncation)
     while this thread scores the current one. Losses are summed in split
     order on this thread, so the result is bit-identical to a serial run,
@@ -217,13 +210,16 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
         mask[substream(seed, STREAM_BL, i).permutation(n)[:train_size]] = True
         R1 = sample_correlation(X[mask])
         R2 = sample_correlation(X[~mask])
-        return vech(truncate_rank(build_gamma(R1), r)), offdiag_vech(R2)
+        y1 = vech(truncate_rank(build_gamma(R1), r))
+        # only a kept entry with |y1| > 1 can leave [-1, 1]
+        return y1, offdiag_vech(R2), np.flatnonzero(np.abs(y1) > 1.0)
 
+    threaded = q >= _THREADS_MIN_Q
     loss = np.zeros(grid.size)
-    for y1, rvec2 in _one_ahead(split, n_splits, threaded=q >= _PREFETCH_MIN_Q):
+    for y1, rvec2, out in _one_ahead(split, n_splits, threaded):
         for k, lam in enumerate(grid):
             b = hard_threshold(y1, lam)
-            np.clip(b, -1.0, 1.0, out=b)
+            b[out] = np.clip(b[out], -1.0, 1.0)
             b -= rvec2
             loss[k] += 2.0 * float(b @ b)
     pick = int(np.argmin(loss))
@@ -231,4 +227,5 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     y_full = vech(truncate_rank(build_gamma(sample_correlation(X)), r))
     support_size = int(np.count_nonzero(hard_threshold(y_full, lam)))
     return LambdaSelection(lam=lam, method="bl", support_size=support_size,
-                           trace={"grid": grid, "loss": loss, "splits": int(n_splits)})
+                           trace={"grid": grid, "loss": loss, "splits": int(n_splits),
+                                  "threads": 2 if threaded else 1})

@@ -1,9 +1,13 @@
+import threading
+
 import numpy as np
 import pytest
 
+import blockcov.lowrank
 from blockcov._rng import STREAM_PA, substream
 from blockcov.corr import build_gamma, sample_correlation
-from blockcov.lowrank import scree, select_rank_cattell, select_rank_pa, truncate_rank
+from blockcov.lowrank import (_THREADS_MIN_Q, scree, select_rank_cattell, select_rank_pa,
+                              truncate_rank)
 from blockcov.sparsify import select_lambda_bl
 
 
@@ -203,3 +207,78 @@ class TestSelectRankPA:
             select_rank_pa(X, observed_scree(X), quantile=0.0)
         with pytest.raises(ValueError, match="scree values"):
             select_rank_pa(X, observed_scree(X)[:-1])
+
+
+def null_screes_reference(X, n_perm, seed):
+    # one scree call per permutation, as PA ran before it stacked them
+    n, q = X.shape
+    permuted = np.empty((n_perm, q - 1))
+    for b in range(n_perm):
+        keys = substream(seed, STREAM_PA, b).random((n, q))
+        Xp = np.take_along_axis(X, np.argsort(keys, axis=0), axis=0)
+        permuted[b] = scree(build_gamma(sample_correlation(Xp)))
+    return permuted
+
+
+class TestThreadedPA:
+    # q = 100: stacks of ceil(512 / 99) = 6 permutations, so 20 permutations
+    # make three full stacks and a ragged one of 2
+    @pytest.fixture(scope="class")
+    def X(self):
+        return np.random.default_rng(14).standard_normal((20, 100))
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_quantile_curve_is_bit_identical_to_one_scree_per_permutation(self, X, monkeypatch,
+                                                                          threads):
+        assert 100 >= _THREADS_MIN_Q
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: threads)
+        callers, sizes = set(), []
+
+        def recording(G):
+            callers.add(threading.get_ident())
+            sizes.append(len(G))
+            return scree(G)
+        monkeypatch.setattr(blockcov.lowrank, "scree", recording)
+        sel = select_rank_pa(X, observed_scree(X), n_perm=20, seed=3)
+        reference = np.quantile(null_screes_reference(X, 20, 3), 0.95, axis=0)
+        assert np.array_equal(sel.trace["quantile_curve"], reference)
+        assert sorted(sizes) == [2, 6, 6, 6]
+        assert sel.trace["threads"] == threads
+        # the pool may hand two stacks to one worker, never one to a fourth thread
+        assert threading.get_ident() in callers and min(threads, 2) <= len(callers) <= threads
+
+    def test_below_the_cutoff_runs_on_the_calling_thread(self, monkeypatch):
+        X = np.random.default_rng(15).standard_normal((20, 60))
+        assert 60 < _THREADS_MIN_Q
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: 3)
+        sel = select_rank_pa(X, observed_scree(X), n_perm=20, seed=3)
+        reference = np.quantile(null_screes_reference(X, 20, 3), 0.95, axis=0)
+        assert np.array_equal(sel.trace["quantile_curve"], reference)
+        assert sel.trace["threads"] == 1
+
+    def test_stacked_eigvalsh_equals_one_call_per_matrix(self):
+        # the premise of the bit identity above, on whichever numpy runs it
+        rng = np.random.default_rng(16)
+        for m, k in ((19, 27), (99, 6), (199, 3)):
+            G = np.stack([build_gamma(sample_correlation(rng.standard_normal((20, m + 1))))
+                          for _ in range(k)])
+            single = np.stack([np.linalg.eigvalsh(g) for g in G])
+            assert np.array_equal(np.linalg.eigvalsh(G), single)
+            assert np.array_equal(scree(G), np.stack([scree(g) for g in G]))
+
+    # permutation 0 is in the calling thread's first stack, 7 in a worker's,
+    # 19 in the ragged last stack
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("failing", [0, 7, 19])
+    def test_failing_stack_raises_and_leaves_no_thread(self, X, monkeypatch, threads, failing):
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: threads)
+
+        def draw(seed, stream, b):
+            if b == failing:
+                raise ValueError(f"permutation {b} failed")
+            return substream(seed, stream, b)
+        monkeypatch.setattr(blockcov.lowrank, "substream", draw)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match=f"permutation {failing} failed"):
+            select_rank_pa(X, observed_scree(X), n_perm=20, seed=3)
+        assert threading.active_count() == before

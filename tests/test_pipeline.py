@@ -1,3 +1,4 @@
+import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -186,7 +187,8 @@ class TestEstimate:
         monkeypatch.setattr(blockcov.pipeline, "select_rank_pa",
                             lambda X, s, **kw: passed.append(s) or pa(X, s, **kw))
         est = estimate(X, PipelineConfig(rank_method="pa", pa_permutations=7, seed=8))
-        assert len(calls) == 1 + 7
+        # PA passes its permutations as stacks: count matrices, not calls
+        assert sum(math.prod(shape[:-2]) for shape in calls) == 1 + 7
         assert len(passed) == 1 and passed[0] is est.scree
 
     def test_selection_record_counts_the_bl_threshold_passes(self, monkeypatch):
@@ -250,18 +252,19 @@ class TestEstimate:
         step = blockcov.pipeline._step
 
         @contextmanager
-        def tracked(name, timings):
+        def tracked(name, *records):
             steps.append(name)
             try:
-                with step(name, timings):
+                with step(name, *records):
                     yield
             finally:
                 steps.pop()
 
         def counter(fn):
-            def counted(*args, **kwargs):
-                counts[steps[-1]] = counts.get(steps[-1], 0) + 1
-                return fn(*args, **kwargs)
+            # a stack of matrices counts once per matrix
+            def counted(A, *args, **kwargs):
+                counts[steps[-1]] = counts.get(steps[-1], 0) + math.prod(np.shape(A)[:-2])
+                return fn(A, *args, **kwargs)
             return counted
         for name in ("eigh", "eigvalsh"):
             monkeypatch.setattr(np.linalg, name, counter(getattr(np.linalg, name)))

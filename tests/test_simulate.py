@@ -31,6 +31,20 @@ class TestBlockSizes:
         with pytest.raises(ValueError):
             ScenarioSpec("diagonal-equal", 9)
 
+    @pytest.mark.parametrize("field, spec", [
+        ("q", {"q": 20.0}), ("q", {"q": 20.5}), ("q", {"q": True}),
+        ("seed", {"q": 20, "seed": 2.5}), ("seed", {"q": 20, "seed": 3.0}),
+        ("seed", {"q": 20, "seed": -1}),
+    ])
+    def test_spec_rejects_a_size_or_seed_that_is_not_a_count(self, field, spec):
+        # before any draw: a float q used to fail later in build_scenario with a bare TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            ScenarioSpec("diagonal-unequal", **spec)
+
+    def test_spec_accepts_numpy_integers(self):
+        spec = ScenarioSpec("diagonal-unequal", np.int64(20), seed=np.uint8(3))
+        assert build_scenario(spec).Sigma.shape == (20, 20)
+
 
 class TestBuildScenario:
     def test_diagonal_equal_block_values(self):

@@ -12,7 +12,7 @@ from blockcov.io import write_matrix_csv
 from blockcov.lowrank import truncate_rank
 from blockcov.pipeline import PipelineConfig, PipelineError, estimate
 from blockcov.simulate import ScenarioSpec, build_scenario, sample_gaussian
-from blockcov.sparsify import (_PREFETCH_MIN_Q, _one_ahead, candidate_lambdas,
+from blockcov.sparsify import (_THREADS_MIN_Q, _one_ahead, candidate_lambdas,
                                default_train_size, hard_threshold, select_lambda_bl,
                                select_lambda_elbow, soft_threshold, sparse_sigma, support_lambda)
 
@@ -337,7 +337,7 @@ def bl_oracle(X, r, grid, splits):
     return grid[int(np.argmin(losses))], losses
 
 
-def bl_loss_reference(X, r, grid, n_splits, seed):
+def bl_loss_reference(X, r, grid, n_splits, seed, truncate=truncate_rank):
     # the per-grid loss loop as first written: gather threshold, clip, and
     # the difference formed twice; also returns max |y1| of each split
     n = X.shape[0]
@@ -346,7 +346,7 @@ def bl_loss_reference(X, r, grid, n_splits, seed):
         train = substream(seed, STREAM_BL, i).permutation(n)[:default_train_size(n)]
         mask = np.zeros(n, dtype=bool)
         mask[train] = True
-        y1 = vech(truncate_rank(build_gamma(sample_correlation(X[mask])), r))
+        y1 = vech(truncate(build_gamma(sample_correlation(X[mask])), r))
         rvec2 = vech(build_gamma(sample_correlation(X[~mask])))
         peaks.append(np.abs(y1).max())
         for k, lam in enumerate(grid):
@@ -370,11 +370,11 @@ def assert_bl_matches_reference(q, data_seed):
 
 class TestSelectLambdaBL:
     def test_loss_is_bit_identical_to_the_reference_loop(self):
-        assert 60 < _PREFETCH_MIN_Q  # the serial path
+        assert 60 < _THREADS_MIN_Q  # the serial path
         assert_bl_matches_reference(60, 0)
 
     def test_threaded_loss_is_bit_identical_to_the_reference_loop(self, monkeypatch):
-        assert 120 >= _PREFETCH_MIN_Q
+        assert 120 >= _THREADS_MIN_Q
         # truncate_rank is looked up as a module global, so this wrapper sees
         # the thread each split is prepared on
         threads = []
@@ -387,6 +387,28 @@ class TestSelectLambdaBL:
         assert_bl_matches_reference(120, 4)
         assert len(threads) == 6  # five splits and the full-data support count
         assert threading.get_ident() not in threads[:5] and threads[5] == threading.get_ident()
+
+    @pytest.mark.parametrize("q", [40, 120], ids=["serial", "threaded"])
+    def test_clip_at_and_beyond_one_matches_the_reference_loop(self, monkeypatch, q):
+        # the truncation of every split gets entries exactly at +-1, which stay,
+        # and entries beyond, which are clipped while kept; the grid points
+        # from 2 on drop them one by one
+        def skewed(G, r):
+            Gr = truncate_rank(G, r)
+            for (i, j), v in {(0, 1): 1.0, (0, 2): -1.0, (1, 3): 1.5, (2, 4): -2.5}.items():
+                Gr[i, j] = Gr[j, i] = v
+            return Gr
+
+        monkeypatch.setattr(blockcov.sparsify, "truncate_rank", skewed)
+        X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", q, seed=1)),
+                            30, seed=1)
+        grid = np.array([0.0, 0.5, 1.0, 1.9, 2.0, 2.5, 3.0, 4.0, 5.0, 6.0])
+        sel = select_lambda_bl(X, 5, grid, n_splits=5, seed=0)
+        loss, peaks = bl_loss_reference(X, 5, grid, 5, 0, truncate=skewed)
+        assert np.all(peaks == 2.5)
+        assert np.array_equal(sel.trace["loss"], loss)
+        assert sel.lam == grid[int(np.argmin(loss))]
+        assert sel.trace["threads"] == (2 if q >= _THREADS_MIN_Q else 1)
 
     def test_singleton_grid(self):
         rng = np.random.default_rng(9)
@@ -490,9 +512,9 @@ class TestFailingSplit:
         X[0, 7] = 1.5
         return X
 
-    @pytest.mark.parametrize("min_q", [_PREFETCH_MIN_Q, 10 ** 9], ids=["threaded", "serial"])
+    @pytest.mark.parametrize("min_q", [_THREADS_MIN_Q, 10 ** 9], ids=["threaded", "serial"])
     def test_selector_raises_the_split_error(self, X, monkeypatch, min_q):
-        monkeypatch.setattr(blockcov.sparsify, "_PREFETCH_MIN_Q", min_q)
+        monkeypatch.setattr(blockcov.sparsify, "_THREADS_MIN_Q", min_q)
         before = threading.active_count()
         with pytest.raises(ValueError, match="column 7 has zero sample variance"):
             select_lambda_bl(X, 3, np.array([0.0, 0.5]), n_splits=4, seed=0)
