@@ -7,6 +7,7 @@ cluster-pair block of the sample correlation by its mean value.
 import numpy as np
 
 from ._rng import STREAM_KMEANS, substream
+from .corr import check_count, check_square
 
 
 def block_constant_estimator(R, labels):
@@ -17,11 +18,9 @@ def block_constant_estimator(R, labels):
     Singleton clusters have no off-diagonal pairs, so their within value
     is vacuous.
     """
-    R = np.asarray(R, dtype=float)
+    R = check_square(R, "correlation matrix")
     labels = np.asarray(labels, dtype=int)
     q = R.shape[0]
-    if R.ndim != 2 or R.shape[1] != q:
-        raise ValueError(f"correlation matrix must be square, got shape {R.shape}")
     if labels.shape != (q,):
         raise ValueError(f"need {q} labels, got shape {labels.shape}")
     if labels.min() < 0:
@@ -61,8 +60,7 @@ def kmeans_columns(X, k, seed=0, n_init=10, max_iter=100):
         raise ValueError(f"observations must be a 2-d array, got shape {X.shape}")
     pts = np.ascontiguousarray(X.T)
     q = pts.shape[0]
-    if not 1 <= k <= q:
-        raise ValueError(f"k must be in [1, {q}], got {k}")
+    check_count("k", k, 1, q)
     n_distinct = np.unique(pts, axis=0).shape[0]
     if k > n_distinct:
         raise ValueError(f"k={k} exceeds the {n_distinct} distinct columns")

@@ -12,18 +12,39 @@ from functools import lru_cache
 import numpy as np
 
 
-def check_count(name, value, minimum):
-    """Reject a count that is not an integer (``bool`` included) or is below ``minimum``."""
+def _check_integer(name, value):
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def check_count(name, value, minimum, maximum=None):
+    """Reject a non-integer count (``bool`` included) or one outside [minimum, maximum]."""
+    _check_integer(name, value)
+    if maximum is not None and not minimum <= value <= maximum:
+        raise ValueError(f"{name} must be in [{minimum}, {maximum}], got {value}")
     if value < minimum:
         bound = "non-negative" if minimum == 0 else f"at least {minimum}"
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def check_sample_count(n):
+    _check_integer("n", n)
     if n < 2:
         raise ValueError(f"need at least 2 samples, got {n}")
+
+
+def check_square(A, what):
+    """Return ``A`` as a float array, rejecting anything but a square matrix."""
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {A.shape}")
+    return A
+
+
+def check_nonnegative(name, value):
+    """Reject a value below zero, and NaN, which fails every comparison."""
+    if not value >= 0:
+        raise ValueError(f"{name} must be non-negative, got {value}")
 
 
 def validate_observations(X):
@@ -120,9 +141,7 @@ def offdiag_vech(R):
 
 
 def _check_correlation_shape(R):
-    R = np.asarray(R, dtype=float)
-    if R.ndim != 2 or R.shape[0] != R.shape[1]:
-        raise ValueError(f"correlation matrix must be square, got shape {R.shape}")
+    R = check_square(R, "correlation matrix")
     if R.shape[0] < 2:
         raise ValueError("need at least 2 variables")
     return R
@@ -147,9 +166,7 @@ def vech(A):
     lower-including-diagonal triangle column by column; the result has
     length m(m+1)/2.
     """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"vech needs a square matrix, got shape {A.shape}")
+    A = check_square(A, "vech's input")
     return A.take(_flat_positions(vech_indices, A.shape[0]))
 
 

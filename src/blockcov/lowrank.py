@@ -36,11 +36,6 @@ def scree(G):
     return np.sort(np.abs(np.linalg.eigvalsh(G)), axis=-1)[..., ::-1]
 
 
-def check_rank(r, m):
-    if not 1 <= r <= m:
-        raise ValueError(f"rank must be in [1, {m}], got {r}")
-
-
 def check_scree_size(size):
     if size < 4:
         raise ValueError(f"need at least 4 scree values, got {size}")
@@ -54,7 +49,7 @@ def truncate_rank(G, r):
     re-symmetrized to remove round-off asymmetry.
     """
     G = np.asarray(G, dtype=float)
-    check_rank(r, G.shape[0])
+    check_count("rank", r, 1, G.shape[0])
     w, V = np.linalg.eigh(G)
     keep = np.argsort(np.abs(w))[::-1][:r]
     Vk = V[:, keep]
@@ -73,8 +68,7 @@ def select_rank_cattell(s, r_max):
     """
     s = np.asarray(s, dtype=float)
     check_scree_size(s.size)
-    if not 2 <= r_max <= s.size - 1:
-        raise ValueError(f"r_max must be in [2, {s.size - 1}], got {r_max}")
+    check_count("r_max", r_max, 2, s.size - 1)
     window = min(3 * r_max, s.size)
     rss = two_segment_scan(s[:window], np.arange(1, r_max + 1))  # rss[b - 1] is rank b
     return RankSelection(r=int(np.argmin(rss)) + 1, method="cattell", trace={"rss": rss})
@@ -85,8 +79,8 @@ def select_rank_cattell(s, r_max):
 # many; a larger call releases it, and the stacks of two threads overlap.
 _STACK_EIGENVALUES = 512
 # From this many variables on, PA spreads its stacks over the CPUs it may use
-# and BL prepares its next split on a worker thread. Below it the hand-off
-# costs about what the overlap saves. One BLAS thread on two cores, threaded
+# and, given two, BL prepares its next split on a worker thread. Below it the
+# hand-off costs about what the overlap saves. One BLAS thread on two cores, threaded
 # against serial: BL 1.0-1.25 at q = 80, 0.89-0.98 at q = 90, 0.64 at q = 200;
 # PA 1.1-1.5 at q = 60-80, 0.81-1.05 at q = 90-100, 0.60-0.86 at q = 110-200.
 _THREADS_MIN_Q = 90

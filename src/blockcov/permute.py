@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corr import check_count, check_square
+
 
 @dataclass
 class Dendrogram:
@@ -51,9 +53,7 @@ def hclust_complete(d):
     merged cluster stays exact; only those that did, and the new cluster's
     own, are rescanned. Memory is O(q^2) and time typically O(q^2).
     """
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"dissimilarity matrix must be square, got shape {d.shape}")
+    d = check_square(d, "dissimilarity matrix")
     if not np.isfinite(d).all():
         raise ValueError("dissimilarity matrix contains non-finite entries")
     if not np.array_equal(d, d.T):
@@ -131,8 +131,7 @@ def cut_tree(tree, k):
     appearance.
     """
     q = tree.n_leaves
-    if not 1 <= k <= q:
-        raise ValueError(f"k must be in [1, {q}], got {k}")
+    check_count("k", k, 1, q)
     parent = list(range(q + len(tree.merges)))
 
     def find(x):
@@ -162,8 +161,11 @@ def permute_matrix(M, order, inverse=False):
     previous call with the same ``order``.
     """
     M = np.asarray(M)
-    p = np.asarray(order, dtype=int)
-    if M.ndim != 2 or M.shape[0] != M.shape[1] or M.shape[0] != p.size:
+    check_square(M, "matrix")
+    p = np.asarray(order)
+    if not np.issubdtype(p.dtype, np.integer):
+        raise ValueError(f"order must hold integers, got dtype {p.dtype}")
+    if M.shape[0] != p.size:
         raise ValueError(f"matrix of shape {M.shape} does not match permutation of {p.size}")
     if not np.array_equal(np.sort(p), np.arange(p.size)):
         raise ValueError("order is not a permutation")

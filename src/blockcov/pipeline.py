@@ -16,13 +16,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corr import build_gamma, check_count, sample_correlation, validate_observations, vech
-from .lowrank import (RankSelection, check_rank, check_scree_size, scree, select_rank_cattell,
-                      select_rank_pa, truncate_rank)
+from .corr import (build_gamma, check_count, check_nonnegative, sample_correlation,
+                   validate_observations, vech)
+from .lowrank import (RankSelection, check_scree_size, scree, select_rank_cattell, select_rank_pa,
+                      truncate_rank)
 from .permute import dissimilarity, hclust_complete, leaf_order, permute_matrix
-from .psd import InvSqrtResult, check_threshold, inv_sqrt, nearest_correlation
-from .sparsify import (LambdaSelection, candidate_lambdas, check_cv_samples, check_lambda,
-                       hard_threshold, select_lambda_bl, select_lambda_elbow, sparse_sigma)
+from .psd import InvSqrtResult, inv_sqrt, nearest_correlation
+from .sparsify import (LambdaSelection, candidate_lambdas, check_cv_samples, hard_threshold,
+                       select_lambda_bl, select_lambda_elbow, sparse_sigma)
 
 
 @dataclass
@@ -129,7 +130,7 @@ def _check_up_front(n, q, cfg):
     with _step("rank-selection", {}, {}):
         _check_selector("rank_method", cfg.rank_method)
         if isinstance(cfg.rank_method, (int, np.integer)):
-            check_rank(cfg.rank_method, q - 1)
+            check_count("rank", cfg.rank_method, 1, q - 1)
         elif cfg.rank_method == "cattell":
             check_scree_size(q - 1)
         elif cfg.rank_method != "pa":
@@ -137,13 +138,13 @@ def _check_up_front(n, q, cfg):
     with _step("lambda-selection", {}, {}):
         _check_selector("lambda_method", cfg.lambda_method)
         if not isinstance(cfg.lambda_method, str):
-            check_lambda(cfg.lambda_method)
+            check_nonnegative("lambda", cfg.lambda_method)
         elif cfg.lambda_method == "bl":
             check_cv_samples(n)
         elif cfg.lambda_method != "elbow":
             raise ValueError(f"unknown lambda method {cfg.lambda_method!r}")
     with _step("inverse-square-root", {}, {}):
-        check_threshold(cfg.inv_sqrt_threshold)
+        check_nonnegative("threshold", cfg.inv_sqrt_threshold)
 
 
 def select(X, cfg):

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corr import check_nonnegative, check_square
+
 EIG_FLOOR = 1e-8  # smallest eigenvalue of a projection, relative to the largest
 # The projection stops once the RMS diagonal gap ||diag(X) - 1|| / sqrt(q) of
 # the PSD iterate X is at most DIAG_TOL, and fails after MAX_NEWTON_STEPS
@@ -50,13 +52,6 @@ class ProjectionResult:
 
 class ConvergenceError(RuntimeError):
     """Raised when the Newton iteration hits its cap or its line search fails."""
-
-
-def _check_square(A, what):
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"{what} must be a square matrix, got shape {A.shape}")
-    return A
 
 
 class _Dual:
@@ -140,7 +135,7 @@ def nearest_correlation(A):
     result is rescaled to an exactly-unit diagonal, so it is strictly
     positive definite and safe to eigendecompose downstream.
     """
-    A = _check_square(A, "input")
+    A = check_square(A, "input")
     q = A.shape[0]
     cur = _Dual(A, 1.0 - np.diag(A))
     eigh_calls, cg_steps, steps = 1, 0, 0
@@ -178,19 +173,14 @@ def nearest_correlation(A):
                             eigh_calls=eigh_calls, diag_gap=float(gap))
 
 
-def check_threshold(t):
-    if not t >= 0:
-        raise ValueError(f"threshold must be non-negative, got {t}")
-
-
 def inv_sqrt(S, t):
     """Inverse square root with the small end of the spectrum dropped.
 
     Eigenvalues above ``t`` enter as 1/sqrt(d); the rest contribute
     nothing. ``kept`` and ``dropped`` count the two groups.
     """
-    S = _check_square(S, "input")
-    check_threshold(t)
+    S = check_square(S, "input")
+    check_nonnegative("threshold", t)
     w, V = np.linalg.eigh(S)
     keep = w > t
     inv = np.zeros_like(w)
@@ -203,7 +193,7 @@ def inv_sqrt(S, t):
 
 def whitening_error(W, Sigma):
     """Frobenius norm of W Sigma W - I, the residual dependence after whitening."""
-    W = _check_square(W, "whitening matrix")
+    W = check_square(W, "whitening matrix")
     Sigma = np.asarray(Sigma, dtype=float)
     if Sigma.shape != W.shape:
         raise ValueError(f"shape mismatch: {W.shape} vs {Sigma.shape}")

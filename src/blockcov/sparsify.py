@@ -16,9 +16,9 @@ import numpy as np
 
 from ._rng import STREAM_BL, substream
 from ._twoline import two_segment_scan
-from .corr import (assemble_sigma, build_gamma, check_count, offdiag_vech, sample_correlation,
-                   validate_observations, vech)
-from .lowrank import _THREADS_MIN_Q, truncate_rank
+from .corr import (assemble_sigma, build_gamma, check_count, check_nonnegative, offdiag_vech,
+                   sample_correlation, validate_observations, vech)
+from .lowrank import _THREADS_MIN_Q, _cpu_threads, truncate_rank
 
 
 @dataclass
@@ -31,14 +31,9 @@ class LambdaSelection:
     trace: dict = field(default_factory=dict)
 
 
-def check_lambda(lam):
-    if not lam >= 0:
-        raise ValueError(f"lambda must be non-negative, got {lam}")
-
-
 def soft_threshold(y, lam):
     """Shrinking threshold: y_j (1 - lambda/(2|y_j|)) when |y_j| > lambda/2, else 0."""
-    check_lambda(lam)
+    check_nonnegative("lambda", lam)
     y = np.asarray(y, dtype=float)
     mag = np.abs(y)
     keep = mag > lam / 2
@@ -49,7 +44,7 @@ def soft_threshold(y, lam):
 
 def hard_threshold(y, lam):
     """Keep-unshrunk threshold: y_j when |y_j| > lambda/2, else 0."""
-    check_lambda(lam)
+    check_nonnegative("lambda", lam)
     y = np.asarray(y, dtype=float)
     # a bit mask instead of np.where, which branches per entry and mispredicts
     # on half-kept vectors; a dropped entry (NaN and -0.0 too) becomes +0.0.
@@ -190,9 +185,10 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     rather than re-selected per split. Split ``i`` draws from substream
     ``i`` of ``seed``.
 
-    From q = 90 variables on (``_THREADS_MIN_Q``), one worker thread
-    prepares the next split (its two correlations and the rank truncation)
-    while this thread scores the current one. Losses are summed in split
+    From q = 90 variables on (``_THREADS_MIN_Q``), and when the process
+    may use two CPUs or more, one worker thread prepares the next split
+    (its two correlations and the rank truncation) while this thread
+    scores the current one. Losses are summed in split
     order on this thread, so the result is bit-identical to a serial run,
     whatever the thread timing or the benchmark's ``--jobs``.
     """
@@ -214,7 +210,7 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
         # only a kept entry with |y1| > 1 can leave [-1, 1]
         return y1, offdiag_vech(R2), np.flatnonzero(np.abs(y1) > 1.0)
 
-    threaded = q >= _THREADS_MIN_Q
+    threaded = q >= _THREADS_MIN_Q and _cpu_threads() >= 2
     loss = np.zeros(grid.size)
     for y1, rvec2, out in _one_ahead(split, n_splits, threaded):
         for k, lam in enumerate(grid):

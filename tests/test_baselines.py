@@ -91,6 +91,11 @@ class TestBlockConstantEstimator:
         out = block_constant_estimator(R, np.array([0, 1, 1, 1]))
         assert out[0, 0] == 1.0
 
+    @pytest.mark.parametrize("R", [np.float64(1.0), np.ones((2, 3))], ids=["scalar", "2x3"])
+    def test_non_square_rejected(self, R):
+        with pytest.raises(ValueError, match="correlation matrix must be square"):
+            block_constant_estimator(R, [0])
+
     def test_empty_cluster_rejected(self):
         R = np.eye(4)
         with pytest.raises(ValueError, match="empty cluster"):
@@ -150,6 +155,16 @@ class TestKmeansColumns:
         a = kmeans_columns(X, 3, seed=4)
         b = kmeans_columns(X, 3, seed=4)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k, message", [
+        (0, r"k must be in \[1, 3\], got 0"),
+        (4, r"k must be in \[1, 3\], got 4"),
+        (2.5, "k must be an integer, got 2.5"),
+    ])
+    def test_k_must_be_a_count_of_columns(self, k, message):
+        X = np.random.default_rng(0).standard_normal((6, 3))
+        with pytest.raises(ValueError, match=message):
+            kmeans_columns(X, k)
 
     def test_k_exceeding_distinct_columns(self):
         col = np.arange(5.0)

@@ -47,9 +47,10 @@ def test_unknown_method_rejected():
     dict(jobs=2.0),
     dict(seed=2.5),
     dict(seed=-1),
+    dict(n_list=(20, 20.5)),
 ], ids=["unknown-scenario-second", "q-too-small-second", "zero-reps", "zero-jobs",
         "one-sample-second", "bl-on-n4-second", "fractional-reps", "bool-reps", "float-jobs",
-        "fractional-seed", "negative-seed"])
+        "fractional-seed", "negative-seed", "fractional-n-second"])
 def test_bad_config_rejected_before_any_cell(monkeypatch, bad):
     built = []
     monkeypatch.setattr(blockcov.benchmark, "build_scenario",

@@ -89,6 +89,8 @@ class TestTruncateRank:
             truncate_rank(G, 0)
         with pytest.raises(ValueError, match="rank"):
             truncate_rank(G, 5)
+        with pytest.raises(ValueError, match="rank must be an integer, got 2.5"):
+            truncate_rank(G, 2.5)
 
     def test_result_symmetric(self):
         rng = np.random.default_rng(4)
@@ -125,6 +127,15 @@ class TestSelectRankCattell:
     def test_too_few_values(self):
         with pytest.raises(ValueError, match="4 scree values"):
             select_rank_cattell(np.array([3.0, 2.0, 1.0]), r_max=2)
+
+    @pytest.mark.parametrize("r_max, message", [
+        (1, r"r_max must be in \[2, 7\], got 1"),
+        (8, r"r_max must be in \[2, 7\], got 8"),
+        (2.5, "r_max must be an integer, got 2.5"),
+    ])
+    def test_r_max_must_be_a_rank_below_the_scree_size(self, r_max, message):
+        with pytest.raises(ValueError, match=message):
+            select_rank_cattell(np.linspace(8.0, 1.0, 8), r_max=r_max)
 
     def test_trace_has_per_candidate_rss(self):
         s = np.array([10.0, 9.5, 9.0, 0.1, 0.1, 0.1, 0.1, 0.1])

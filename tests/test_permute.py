@@ -207,6 +207,8 @@ class TestCutTree:
             cut_tree(tree, 0)
         with pytest.raises(ValueError, match="k must be"):
             cut_tree(tree, 3)
+        with pytest.raises(ValueError, match="k must be an integer, got 1.5"):
+            cut_tree(tree, 1.5)
 
 
 class TestPermuteMatrix:
@@ -243,3 +245,6 @@ class TestPermuteMatrix:
     def test_rejects_non_permutation(self):
         with pytest.raises(ValueError, match="not a permutation"):
             permute_matrix(np.eye(3), np.array([0, 0, 2]))
+        # a float order is not truncated to [0, 1, 2]
+        with pytest.raises(ValueError, match="order must hold integers"):
+            permute_matrix(np.eye(3), [0.0, 1.9, 2.2])

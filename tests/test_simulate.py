@@ -124,6 +124,8 @@ class TestSampleGaussian:
         truth = build_scenario(ScenarioSpec("diagonal-equal", 12, seed=0))
         with pytest.raises(ValueError, match="2 samples"):
             sample_gaussian(truth, 1)
+        with pytest.raises(ValueError, match="n must be an integer, got 20.5"):
+            sample_gaussian(truth, 20.5)
 
 
 class TestPermuteColumns:

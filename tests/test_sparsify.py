@@ -375,6 +375,7 @@ class TestSelectLambdaBL:
 
     def test_threaded_loss_is_bit_identical_to_the_reference_loop(self, monkeypatch):
         assert 120 >= _THREADS_MIN_Q
+        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 2)
         # truncate_rank is looked up as a module global, so this wrapper sees
         # the thread each split is prepared on
         threads = []
@@ -388,8 +389,30 @@ class TestSelectLambdaBL:
         assert len(threads) == 6  # five splits and the full-data support count
         assert threading.get_ident() not in threads[:5] and threads[5] == threading.get_ident()
 
+    def test_one_cpu_prepares_every_split_on_this_thread(self, monkeypatch):
+        assert 120 >= _THREADS_MIN_Q
+        X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", 120, seed=4)),
+                            30, seed=4)
+        grid = candidate_lambdas(vech(truncate_rank(build_gamma(sample_correlation(X)), 5)))
+        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 2)
+        threaded = select_lambda_bl(X, 5, grid, n_splits=5, seed=0)
+        seen = []
+
+        def recording(G, r):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return truncate_rank(G, r)
+
+        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 1)
+        monkeypatch.setattr(blockcov.sparsify, "truncate_rank", recording)
+        before = threading.active_count()
+        serial = select_lambda_bl(X, 5, grid, n_splits=5, seed=0)
+        assert seen == [(threading.get_ident(), before)] * 6  # five splits and the support count
+        assert (threaded.trace["threads"], serial.trace["threads"]) == (2, 1)
+        assert np.array_equal(serial.trace["loss"], threaded.trace["loss"])
+
     @pytest.mark.parametrize("q", [40, 120], ids=["serial", "threaded"])
     def test_clip_at_and_beyond_one_matches_the_reference_loop(self, monkeypatch, q):
+        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 2)
         # the truncation of every split gets entries exactly at +-1, which stay,
         # and entries beyond, which are clipped while kept; the grid points
         # from 2 on drop them one by one
@@ -515,6 +538,7 @@ class TestFailingSplit:
     @pytest.mark.parametrize("min_q", [_THREADS_MIN_Q, 10 ** 9], ids=["threaded", "serial"])
     def test_selector_raises_the_split_error(self, X, monkeypatch, min_q):
         monkeypatch.setattr(blockcov.sparsify, "_THREADS_MIN_Q", min_q)
+        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 2)
         before = threading.active_count()
         with pytest.raises(ValueError, match="column 7 has zero sample variance"):
             select_lambda_bl(X, 3, np.array([0.0, 0.5]), n_splits=4, seed=0)
