@@ -33,10 +33,13 @@ def check_sample_count(n):
         raise ValueError(f"need at least 2 samples, got {n}")
 
 
-def check_square(A, what):
-    """Return ``A`` as a float array, rejecting anything but a square matrix."""
+def check_square(A, what, stack=False):
+    """Return ``A`` as a float array, rejecting anything but a square matrix.
+
+    With ``stack``, a stack of square matrices (3-d) is accepted too.
+    """
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim not in ((2, 3) if stack else (2,)) or A.shape[-1] != A.shape[-2]:
         raise ValueError(f"{what} must be square, got shape {A.shape}")
     return A
 
@@ -178,6 +181,7 @@ def assemble_sigma(v, q):
     ``vech(build_gamma(result)) == v`` and the lower triangle follows by
     symmetry. Exact inverse of ``vech(build_gamma(.))``.
     """
+    check_count("q", q, 1)
     v = np.asarray(v, dtype=float)
     expected = q * (q - 1) // 2
     if v.ndim != 1 or v.size != expected:

@@ -6,9 +6,20 @@ names. Values are written as ``%.17g`` (17 significant digits, so a
 write/read round trip is exact), one row per ``\r\n``-terminated line:
 the bytes ``np.savetxt(fmt="%.17g", delimiter=",", newline="\r\n")``
 writes.
+
+The writer formats about 4096 values (whole rows) at a time with numpy
+array operations. Zeros and every value whose ``%.17g`` text is
+fixed-point (decimal exponent -4 to 16, about ``1e-4 <= |x| < 1e17``) get
+their 17 digits from Dekker's error-free product of the value and a power
+of ten (T. J. Dekker, "A floating-point technique for extending the
+available precision", Numer. Math. 18, 1971), rounded half to even as
+CPython's ``%`` rounds them. NaN, infinities and values in exponent
+notation go through Python's ``%``, one call per block. Each block
+reaches the file in one write.
 """
 
 import csv
+import functools
 
 import numpy as np
 
@@ -40,47 +51,201 @@ def read_matrix_csv(path, header=False):
 
 
 def write_matrix_csv(path, M, names=None):
-    """Write a matrix (or vector, as a single column) to CSV, one row at a time.
-
-    A float64 matrix equal to its transpose bit for bit has only its upper
-    triangle formatted; the mirrored entries reuse the same text.
-    """
-    M = np.asarray(M)
+    """Write a matrix (or vector, as a single column) to CSV, a block of rows at a time."""
+    M = np.asarray(M, dtype=np.float64)
     if M.ndim == 1:
         M = M[:, None]
     elif M.ndim != 2:
         raise ValueError(f"expected a 1-d or 2-d array, got {M.ndim}-d")
-    fields = ",".join(["%.17g"] * M.shape[1])
-    lines = _symmetric_rows(M, fields) if _is_symmetric(M) else (
-        fields % tuple(row.tolist()) for row in M)
-    # a 64 KiB buffer makes one system call per several rows, not one per row
-    with open(path, "w", newline="", buffering=1 << 16) as fh:
+    rows, cols = M.shape
+    with open(path, "w", newline="") as fh:
         if names is not None:
             csv.writer(fh).writerow(names)
-        for line in lines:
-            fh.write(line + "\r\n")
+        if cols == 0:
+            fh.write("\r\n" * rows)
+            return
+        fh.flush()  # the text layer holds nothing more; blocks go to the bytes below it
+        step = max(1, _BLOCK_VALUES // cols)
+        for start in range(0, rows, step):
+            fh.buffer.write(_format_rows(M[start:start + step]))
 
 
-def _is_symmetric(M):
-    """Square float64 and equal to its transpose bit for bit (-0.0 differs from +0.0)."""
-    if M.dtype != np.float64 or M.shape[0] != M.shape[1]:
-        return False
-    bits = M.view(np.int64)
-    return np.array_equal(bits, bits.T)
+# Values formatted per block (whole rows, at least one). Against 4096, blocks
+# of 2048 wrote the two outputs of a q = 300 estimate about 20% slower, and
+# blocks of 8192 or 16384 about 10% faster but raised the peak RSS of the
+# whole `blockcov estimate` run by 2.7 MB.
+_BLOCK_VALUES = 4096
+# 10**p for p = 0..20, each exact, and its Veltkamp split into 26-bit halves
+_POW10 = np.array([float(10 ** p) for p in range(21)])
+_SPLIT = 134217729.0  # 2**27 + 1
+_POW10_HI = _SPLIT * _POW10 - (_SPLIT * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# A value's slot is three little-endian 8-byte words of text padded with
+# NUL bytes, which are dropped at the end:
+#   byte 0      the separator before the value: ',' inside a row and '\r',
+#               written as "\r\n", before the first value of each row but the first
+#   byte 1      '-' for a negative value
+#   bytes 2-6   "0." and up to three zeros before the digits of a value below 1
+#   bytes 7-23  the 17 digits, without the trailing zeros of a fraction; when a
+#               value of at least 1 has a fraction, its integer digits move one
+#               byte left and the point takes byte 7 + k
+# A fallback text fills bytes 1-23, padded with spaces that become NUL; a
+# block with a 24-byte one gets a fourth word.
+_FALLBACK, _FALLBACK_WIDE = "%-23.17g", "%-31.17g"
+_STRIPPED = 10000  # offset of the chunks that drop their trailing zeros
 
 
-def _symmetric_rows(M, fields):
-    """Text rows of a symmetric matrix, formatting only its upper triangle.
+def _words(byte_values):
+    """The last axis of a byte array (..., 8m) as m little-endian words."""
+    return byte_values.astype(np.uint8).view("<u8").astype(np.uint64)
 
-    Row i formats ``M[i, i:]`` in one call; its left part is the text that
-    rows 0..i-1 produced for column i. Each row keeps its unused texts in
-    reverse, so the next row pops them in column order and at most about
-    q*q/4 texts are alive at once.
+
+@functools.cache
+def _chunk_words():
+    """Chunk c of four digits as ASCII in the low half of a word, and in the high half.
+
+    At c + _STRIPPED the chunk comes without its trailing zeros. Built on
+    first use, so a process that writes no CSV does not hold the 320 KB.
     """
-    pending = []
-    for i, row in enumerate(M):
-        # "%.17g," is 6 characters, so fields[6 * i:] holds the q - i fields of M[i, i:]
-        right = fields[6 * i:] % tuple(row[i:].tolist())
-        left = ",".join(map(list.pop, pending))
-        pending.append(right.split(",")[:0:-1])
-        yield f"{left},{right}" if i else right
+    c = np.arange(_STRIPPED, dtype=np.uint16)[:, None]
+    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    ascii_digits = (c // places % 10).astype(np.uint8) + np.uint8(ord("0"))
+    trailing_zeros = (c % (10 * places[::-1]) == 0).sum(axis=1, keepdims=True)
+    kept = np.arange(4) < 4 - trailing_zeros
+    words = np.zeros((2 * _STRIPPED, 8), dtype=np.uint8)
+    words[:_STRIPPED, :4] = ascii_digits
+    words[_STRIPPED:, :4] = ascii_digits * kept
+    low = _words(words)[:, 0]
+    return low, low << np.uint64(32)
+
+
+def _large_value_words():
+    """Words 0-2 for a value of at least 1, at its decimal exponent k = 0..17.
+
+    At k + 18 the text has a point after digit k. The four tables hold the
+    zeros its integer digits may have lost, the bytes of its fraction, the
+    bytes that move one left to make room for the point, and the point.
+    """
+    row, byte = np.arange(36)[:, None], np.arange(24)
+    k, pointed = row % 18, row >= 18
+    return [_words(mask * value).T.copy() for mask, value in (
+        ((byte >= 8) & (byte <= 7 + k), ord("0")),
+        (byte >= 8 + k, 0xFF),
+        (pointed & (byte >= 7) & (byte <= 7 + k), 0xFF),
+        (pointed & (byte == 7 + k), ord(".")),
+    )]
+
+
+# the sign and lead digit, at 10 * sign + digit
+_LEAD = _words(np.array([[0, ord("-") * sign, 0, 0, 0, 0, 0, ord("0") + d]
+                         for sign in (0, 1) for d in range(10)]))[:, 0]
+# the prefix of a value below 1, at decimal exponent k + 4 (k = -4..17)
+_PREFIX = np.array([int.from_bytes(b"\0\0" + (b"0." + b"0" * (-k - 1) if k < 0 else b""), "little")
+                    for k in range(-4, 18)], dtype=np.uint64)
+_INTEGER_ZEROS, _FRACTION, _MOVE, _POINT = _large_value_words()
+
+
+def _format_rows(M):
+    """The bytes of whole rows ``M``, each value in ``%.17g`` with ',' and '\\r\\n'."""
+    x = M.ravel()
+    k, D, fixed = _round17(x)
+    if not fixed.any():  # Python's % writes the whole block
+        line = ",".join(["%.17g"] * M.shape[1]) + "\r\n"
+        return (line * M.shape[0] % tuple(x.tolist())).encode("ascii")
+    slots = np.empty((x.size, 3), dtype="<u8")
+    _write_fixed_point(slots, x, k, D)
+    slow = np.flatnonzero(~fixed)
+    if slow.size:
+        values = tuple(x[slow].tolist())
+        fallback = (_FALLBACK * slow.size) % values
+        if len(fallback) > 23 * slow.size:  # a 24-byte text: the block gets a fourth word
+            fallback = (_FALLBACK_WIDE * slow.size) % values
+            slots = np.concatenate([slots, np.zeros((x.size, 1), slots.dtype)], axis=1)
+        b = np.frombuffer(fallback.encode("ascii"), np.uint8).reshape(slow.size, -1)
+        slots.view(np.uint8)[slow, 1:] = b * (b != ord(" "))
+    text = slots.view(np.uint8)
+    text[:, 0] = ord(",")
+    text.reshape(M.shape[0], M.shape[1], -1)[1:, 0, 0] = ord("\r")
+    text[0, 0] = 0
+    return slots.tobytes().translate(None, b"\0").replace(b"\r", b"\r\n") + b"\r\n"
+
+
+def _round17(x):
+    """Decimal exponent k and 17-digit significand D of each |x|, exactly rounded.
+
+    ``fixed`` marks the values whose ``%.17g`` text is fixed-point
+    (-4 <= k <= 16), zeros included (D = k = 0). The others are left to the
+    fallback; their D and k are only valid table indices.
+    """
+    a = np.abs(x)
+    k = _decimal_exponent(a)
+    zero = a == 0.0
+    fixed = zero | ((k >= -4) & (k <= 16))  # NaN fails both comparisons
+    if not fixed.any():
+        return None, None, fixed
+    one = zero | ~fixed
+    a[one] = 1.0
+    k[one] = 0.0
+    k = k.astype(np.int64)
+    p = 16 - k
+    # Dekker's two-product: hi + lo == a * 10**p exactly
+    hi = a * _POW10[p]
+    c = _SPLIT * a
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    lo = ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # hi >= 2**53 is an even integer, so this is the half-to-even rounding of hi + lo
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    # log10 can be one off. hi + lo < 1e16 is D < 1e16, or D == 1e16 with hi
+    # == 1e16 and lo < 0 (hi > 1e16 is hi >= 1e16 + 2 with |lo| <= 1); those
+    # go to the fallback. D == 1e17 carries to the next exponent, whether
+    # hi + lo is below 1e17 or not, and D > 1e17 goes to the fallback.
+    fixed &= (D - (lo < 0) >= 10 ** 16) & (D <= 10 ** 17)
+    carry = D == 10 ** 17
+    D[carry] = 10 ** 16
+    k += carry
+    fixed &= k <= 16
+    D[~fixed] = 10 ** 16
+    D[zero] = 0
+    return k, D, fixed
+
+
+def _decimal_exponent(a):
+    """floor(log10(a)), which can be one off; -inf at 0 and NaN or inf where a is."""
+    with np.errstate(divide="ignore"):
+        return np.floor(np.log10(a))
+
+
+def _divmod(a, b):
+    # numpy's divmod does not use the fast division by a scalar that // does
+    q = a // b
+    return q, a - q * b
+
+
+def _write_fixed_point(slots, x, k, D):
+    """Fill each slot with the fixed-point text of sign(x) * D * 10**(k - 16)."""
+    lead, rest = _divmod(D, 10 ** 16)
+    upper, lower = _divmod(rest, 10 ** 8)
+    chunks = [*_divmod(upper, 10 ** 4), *_divmod(lower, 10 ** 4)]
+    # a chunk followed by zero chunks only loses its trailing zeros
+    chunks[3] += _STRIPPED
+    for i in (2, 1, 0):
+        chunks[i][chunks[i + 1] == _STRIPPED] += _STRIPPED
+    low, high = _chunk_words()
+    words = np.empty((3, x.size), dtype=np.uint64)
+    words[0] = _PREFIX[k + 4] | _LEAD[lead + 10 * np.signbit(x)]
+    words[1] = low[chunks[0]] | high[chunks[1]]
+    words[2] = low[chunks[2]] | high[chunks[3]]
+    # A value of at least 1 gets back the zeros of its integer part and, when
+    # a fraction is left, the point; 0 and 1 need neither.
+    large = np.flatnonzero(k + (rest != 0) > 0)
+    if large.size:
+        k = k[large]
+        digits = words[:, large] | _INTEGER_ZEROS[:, k]
+        at = k + 18 * (digits & _FRACTION[:, k]).any(axis=0)
+        move = digits & _MOVE[:, at]
+        moved = move >> np.uint64(8)
+        moved[:2] |= move[1:] << np.uint64(56)
+        words[:, large] = digits ^ move | moved | _POINT[:, at]
+    slots[:] = words.T

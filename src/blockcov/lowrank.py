@@ -14,7 +14,7 @@ import numpy as np
 
 from ._rng import STREAM_PA, substream
 from ._twoline import two_segment_scan
-from .corr import build_gamma, check_count, sample_correlation, validate_observations
+from .corr import build_gamma, check_count, check_square, sample_correlation, validate_observations
 
 
 @dataclass
@@ -32,7 +32,7 @@ def scree(G):
     For a symmetric matrix these are the absolute eigenvalues, which is
     what the eigendecomposition-based truncation uses.
     """
-    G = np.asarray(G, dtype=float)
+    G = check_square(G, "scree's input", stack=True)
     return np.sort(np.abs(np.linalg.eigvalsh(G)), axis=-1)[..., ::-1]
 
 
@@ -48,7 +48,7 @@ def truncate_rank(G, r):
     the singular vectors) and zeroes the rest; the result is
     re-symmetrized to remove round-off asymmetry.
     """
-    G = np.asarray(G, dtype=float)
+    G = check_square(G, "truncate_rank's input")
     check_count("rank", r, 1, G.shape[0])
     w, V = np.linalg.eigh(G)
     keep = np.argsort(np.abs(w))[::-1][:r]

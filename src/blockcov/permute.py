@@ -33,7 +33,7 @@ def dissimilarity(R):
     Strong negative correlation counts as closeness, which matters when
     blocks interact with negative loadings.
     """
-    d = 1.0 - np.abs(np.asarray(R, dtype=float))
+    d = 1.0 - np.abs(check_square(R, "correlation matrix"))
     d = (d + d.T) / 2
     d = np.maximum(d, 0.0)
     np.fill_diagonal(d, 0.0)

@@ -12,6 +12,7 @@ from blockcov.cli import main
 from blockcov.corr import sample_correlation
 from blockcov.io import read_matrix_csv, write_matrix_csv
 from blockcov.pipeline import PipelineConfig, estimate
+from blockcov.simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 
 
 def run(args):
@@ -49,6 +50,20 @@ class TestSimulateCommand:
         x, _, _ = simulate_files(tmp_path, q=20, n=10, extra=["--permute-columns"])
         perm, _ = read_matrix_csv(tmp_path / "perm.csv")
         assert np.array_equal(np.sort(perm[:, 0]), np.arange(20))
+
+    def test_outputs_are_savetxt_of_the_scenario(self, tmp_path):
+        z = tmp_path / "Z.csv"
+        x, sigma, support = simulate_files(tmp_path, scenario="extra-diagonal-unequal", q=30, n=10,
+                                           seed=4, extra=["--permute-columns", "--out-z", z])
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=4))
+        X, perm = permute_columns(sample_gaussian(truth, 10, seed=4), seed=4)
+        mask = truth.support.astype(int)
+        assert set(np.unique(mask)) == {0, 1} and truth.Z.shape == (30, 5)
+        for path, M in ((x, X), (tmp_path / "perm.csv", perm), (sigma, truth.Sigma),
+                        (support, mask), (z, truth.Z)):
+            reference = io.BytesIO()
+            np.savetxt(reference, M, fmt="%.17g", delimiter=",", newline="\r\n")
+            assert path.read_bytes() == reference.getvalue(), path.name
 
     def test_out_z_and_support_shapes(self, tmp_path):
         z_path = tmp_path / "Z.csv"

@@ -174,3 +174,8 @@ class TestAssembleSigma:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="q\\(q-1\\)/2"):
             assemble_sigma(np.zeros(5), 4)
+
+    @pytest.mark.parametrize("v, q", [(np.ones(3), 3.0), (np.ones(0), True)], ids=["float", "bool"])
+    def test_q_must_be_an_integer(self, v, q):
+        with pytest.raises(ValueError, match=f"q must be an integer, got {q}"):
+            assemble_sigma(v, q)

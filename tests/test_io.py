@@ -43,17 +43,16 @@ def _nan_sign_mirror():
     return S
 
 
-# (matrix, whether the writer may format it from its upper triangle)
 WRITER_CASES = {
-    "symmetric": (_symmetric(9, 0), True),
-    "non-symmetric": (np.random.default_rng(4).standard_normal((7, 7)), False),
-    "signed-zero-mirror": (_signed_zero_mirror(), False),
-    "nan-inf-symmetric": (_non_finite(), True),
-    "nan-sign-mirror": (_nan_sign_mirror(), False),
-    "one-by-one": (np.array([[0.1]]), True),
-    "non-square": (np.random.default_rng(5).standard_normal((3, 8)), False),
-    "vector": (np.array([0.1, -2.5e-300, np.inf]), False),
-    "int-matrix": (np.array([[1, 2], [2, 1]]), False),
+    "symmetric": _symmetric(9, 0),
+    "non-symmetric": np.random.default_rng(4).standard_normal((7, 7)),
+    "signed-zero-mirror": _signed_zero_mirror(),
+    "nan-inf-symmetric": _non_finite(),
+    "nan-sign-mirror": _nan_sign_mirror(),
+    "one-by-one": np.array([[0.1]]),
+    "non-square": np.random.default_rng(5).standard_normal((3, 8)),
+    "vector": np.array([0.1, -2.5e-300, np.inf]),
+    "int-matrix": np.array([[1, 2], [2, 1]]),
 }
 
 
@@ -92,22 +91,107 @@ def test_exact_bytes(tmp_path):
 
 @pytest.mark.parametrize("with_names", [False, True], ids=["no-names", "names"])
 @pytest.mark.parametrize("case", list(WRITER_CASES))
-def test_bytes_match_savetxt(tmp_path, monkeypatch, case, with_names):
-    M, symmetric = WRITER_CASES[case]
+def test_bytes_match_savetxt(tmp_path, case, with_names):
+    M = WRITER_CASES[case]
     columns = 1 if M.ndim == 1 else M.shape[1]
     names = [f"v{j}" for j in range(columns)] if with_names else None
-    taken = []
-    rows = blockcov.io._symmetric_rows
-    monkeypatch.setattr(blockcov.io, "_symmetric_rows", lambda *a: taken.append(a) or rows(*a))
     path = tmp_path / "m.csv"
     write_matrix_csv(path, M, names=names)
     assert path.read_bytes() == savetxt_bytes(M, names)
-    assert bool(taken) == symmetric
+
+
+def _written(tmp_path, M, names=None):
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M, names=names)
+    return path.read_bytes()
+
+
+def _with_exponents(rng, size, low, high):
+    """Random float64 bit patterns whose biased exponent field lies in [low, high]."""
+    sign = rng.integers(0, 2, size, dtype=np.uint64) << np.uint64(63)
+    bits = rng.integers(0, 2 ** 63, size, dtype=np.uint64) | sign
+    exponent = rng.integers(low, high + 1, size, dtype=np.uint64) << np.uint64(52)
+    return ((bits & ~np.uint64(0x7FF << 52)) | exponent).view(np.float64)
+
+
+def test_random_bit_patterns_match_savetxt(tmp_path):
+    rng = np.random.default_rng(11)
+    values = np.concatenate([
+        rng.integers(0, 2 ** 64, 4000, dtype=np.uint64).view(np.float64),  # any exponent
+        _with_exponents(rng, 4000, 1023 - 15, 1023 + 57),  # around the fixed-point range
+        _with_exponents(rng, 500, 0, 0),  # subnormals
+        _with_exponents(rng, 500, 2047, 2047),  # NaN of both signs and any payload
+        [np.inf, -np.inf, 0.0, -0.0],
+    ])
+    rng.shuffle(values)
+    M = values.reshape(-1, 4)
+    assert np.isnan(M).sum() > 400 and (np.abs(M) < np.finfo(float).tiny).sum() > 400
+    assert _written(tmp_path, M) == savetxt_bytes(M)
+
+
+def test_decimal_ties_match_savetxt(tmp_path):
+    # (2m + 1) * 2**-17 has 17 fraction digits, ending in 5: in [1, 10) each is
+    # exactly halfway between two 17-digit decimals, and %.17g rounds it to even
+    m = np.arange(2 ** 16, 9 * 2 ** 16, 5)
+    M = ((2 * m + 1) * 2.0 ** -17).reshape(-1, 1)
+    assert _written(tmp_path, M) == savetxt_bytes(M)
+
+
+def test_powers_of_ten_and_neighbours_match_savetxt(tmp_path):
+    powers = np.array([float(f"1e{k}") for k in range(-6, 18)])
+    values = np.stack([np.nextafter(powers, 0), powers, np.nextafter(powers, np.inf)], axis=1)
+    M = np.concatenate([values, -values], axis=1)
+    assert _written(tmp_path, M) == savetxt_bytes(M)
+
+
+def test_exponent_estimates_one_off_fall_back_to_savetxt_bytes(tmp_path, monkeypatch):
+    # log10 may be one off near a power of ten: the exact range check of the
+    # rounded product must send such a value to the fallback, never to a wrong text
+    rng = np.random.default_rng(13)
+    exponent = blockcov.io._decimal_exponent
+    monkeypatch.setattr(blockcov.io, "_decimal_exponent",
+                        lambda a: exponent(a) + rng.integers(-1, 2, a.shape))
+    powers = np.array([float(f"1e{k}") for k in range(-5, 18)])
+    spread = rng.standard_normal(200) * 10.0 ** rng.integers(-5, 18, 200)
+    M = np.concatenate([powers, np.nextafter(powers, 0), spread])
+    M = np.concatenate([M, -M]).reshape(-1, 6)
+    assert _written(tmp_path, M) == savetxt_bytes(M)
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    np.array([[2 ** 53 + 1, 2 ** 62 + 3, -2 ** 63], [2 ** 63 - 1, 10 ** 17 + 1, 7]]),
+    np.array([[True, False], [False, True]]),
+    np.array([1e-5, 0.5, 3.0, 1e16, 1e17, -2.5]),
+    np.zeros((3, 0)),
+    np.zeros((0, 3)),
+], ids=["signed-zeros", "ints-beyond-2**53", "bool", "vector", "no-columns", "no-rows"])
+def test_special_inputs_match_savetxt(tmp_path, M):
+    assert _written(tmp_path, M) == savetxt_bytes(M)
+
+
+def test_non_ascii_header_matches_csv_module(tmp_path):
+    names = ["σ̂", "naïve, \"quoted\"", "日本"]
+    M = np.eye(3)
+    assert _written(tmp_path, M, names) == savetxt_bytes(M, names)
+
+
+@pytest.mark.parametrize("columns", [7, blockcov.io._BLOCK_VALUES + 3],
+                         ids=["narrow", "wider-than-a-block"])
+def test_rows_not_a_multiple_of_the_block(tmp_path, columns):
+    rows_per_block = max(1, blockcov.io._BLOCK_VALUES // columns)
+    M = np.random.default_rng(12).standard_normal((2 * rows_per_block + 1, columns))
+    assert _written(tmp_path, M) == savetxt_bytes(M)
 
 
 def test_three_dimensional_array_rejected(tmp_path):
     with pytest.raises(ValueError, match="1-d or 2-d"):
         write_matrix_csv(tmp_path / "m.csv", np.zeros((2, 2, 2)))
+
+
+def test_scalar_rejected(tmp_path):
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        write_matrix_csv(tmp_path / "m.csv", np.float64(1.5))
 
 
 def test_empty_file_rejected(tmp_path):

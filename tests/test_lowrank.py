@@ -46,6 +46,11 @@ class TestScree:
     def test_absolute_eigenvalues_sorted(self):
         assert np.allclose(scree(np.diag([3.0, 2.0, -4.0])), [4.0, 3.0, 2.0])
 
+    @pytest.mark.parametrize("shape", [(2, 3), (2, 2, 3), (3,)])
+    def test_non_square_is_bad_input(self, shape):
+        with pytest.raises(ValueError, match="scree's input must be square"):
+            scree(np.ones(shape))
+
 
 class TestTruncateRank:
     def test_full_rank_keeps_everything(self):
@@ -91,6 +96,10 @@ class TestTruncateRank:
             truncate_rank(G, 5)
         with pytest.raises(ValueError, match="rank must be an integer, got 2.5"):
             truncate_rank(G, 2.5)
+
+    def test_non_square_is_bad_input(self):
+        with pytest.raises(ValueError, match="truncate_rank's input must be square"):
+            truncate_rank(np.ones((2, 3)), 1)
 
     def test_result_symmetric(self):
         rng = np.random.default_rng(4)

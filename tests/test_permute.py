@@ -74,6 +74,10 @@ class TestDissimilarity:
         R = np.array([[1.0, -1.0], [-1.0, 1.0]])
         assert dissimilarity(R)[0, 1] == 0.0
 
+    def test_non_square_is_bad_input(self):
+        with pytest.raises(ValueError, match="correlation matrix must be square"):
+            dissimilarity(np.ones((2, 3)))
+
 
 class TestHclustComplete:
     def test_three_point_example(self):

@@ -183,6 +183,11 @@ class TestSparseSigma:
         np.fill_diagonal(got, False)
         assert np.array_equal(got, truth.support)
 
+    def test_q_must_be_an_integer(self):
+        y = vech(build_gamma(sample_correlation(np.random.default_rng(7).standard_normal((10, 3)))))
+        with pytest.raises(ValueError, match="q must be an integer, got 3.0"):
+            sparse_sigma(y, 0.1, 3.0)
+
     def test_support_size_non_increasing_in_lambda(self):
         rng = np.random.default_rng(6)
         y = vech(build_gamma(sample_correlation(rng.standard_normal((12, 10)))))
