@@ -149,9 +149,6 @@ def _format_rows(M):
     """The bytes of whole rows ``M``, each value in ``%.17g`` with ',' and '\\r\\n'."""
     x = M.ravel()
     k, D, fixed = _round17(x)
-    if not fixed.any():  # Python's % writes the whole block
-        line = ",".join(["%.17g"] * M.shape[1]) + "\r\n"
-        return (line * M.shape[0] % tuple(x.tolist())).encode("ascii")
     slots = np.empty((x.size, 3), dtype="<u8")
     _write_fixed_point(slots, x, k, D)
     slow = np.flatnonzero(~fixed)
@@ -181,8 +178,6 @@ def _round17(x):
     k = _decimal_exponent(a)
     zero = a == 0.0
     fixed = zero | ((k >= -4) & (k <= 16))  # NaN fails both comparisons
-    if not fixed.any():
-        return None, None, fixed
     one = zero | ~fixed
     a[one] = 1.0
     k[one] = 0.0
