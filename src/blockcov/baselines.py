@@ -7,7 +7,7 @@ cluster-pair block of the sample correlation by its mean value.
 import numpy as np
 
 from ._rng import STREAM_KMEANS, substream
-from .corr import check_count, check_square
+from .corr import check_count, check_integers, check_matrix, check_square
 
 
 def block_constant_estimator(R, labels):
@@ -19,7 +19,7 @@ def block_constant_estimator(R, labels):
     is vacuous.
     """
     R = check_square(R, "correlation matrix")
-    labels = np.asarray(labels, dtype=int)
+    labels = check_integers("labels", labels)
     q = R.shape[0]
     if labels.shape != (q,):
         raise ValueError(f"need {q} labels, got shape {labels.shape}")
@@ -55,10 +55,7 @@ def kmeans_columns(X, k, seed=0, n_init=10, max_iter=100):
     restart. Clusters emptied during an update are re-seeded with the
     point farthest from its assigned centroid.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"observations must be a 2-d array, got shape {X.shape}")
-    pts = np.ascontiguousarray(X.T)
+    pts = np.ascontiguousarray(check_matrix(X, "observations").T)
     q = pts.shape[0]
     check_count("k", k, 1, q)
     n_distinct = np.unique(pts, axis=0).shape[0]

@@ -45,29 +45,58 @@ def check_square(A, what, stack=False):
 
 
 def check_nonnegative(name, value):
-    """Reject a value below zero, and NaN, which fails every comparison."""
-    if not value >= 0:
-        raise ValueError(f"{name} must be non-negative, got {value}")
+    """Reject a value below zero, NaN, which fails every comparison, and a non-number."""
+    try:
+        if value >= 0:
+            return
+    except (TypeError, ValueError):  # None, a string, a list, an array of several values
+        raise ValueError(f"{name} must be a number, got {value!r}") from None
+    raise ValueError(f"{name} must be non-negative, got {value}")
+
+
+def check_matrix(X, what):
+    """Return ``X`` as a float array, rejecting anything but a 2-d one."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError(f"{what} must be a 2-d array, got shape {X.shape}")
+    return X
+
+
+def check_finite(A, what):
+    """Return ``A``, rejecting a NaN or infinite entry."""
+    if not np.isfinite(A).all():
+        raise ValueError(f"non-finite entries in {what}")
+    return A
+
+
+def check_integers(name, a):
+    """Return ``a`` as an array, rejecting one whose dtype is not an integer type."""
+    a = np.asarray(a)
+    if not np.issubdtype(a.dtype, np.integer):
+        raise ValueError(f"{name} must hold integers, got dtype {a.dtype}")
+    return a
+
+
+def check_instance(name, value, kind):
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
 
 
 def validate_observations(X):
     """Check an observation matrix and return it as a float array.
 
     Rows are samples and columns are variables. Requirements: at least two
-    rows, at least two columns, all entries finite, and no column with zero
-    sample variance (its correlations would be undefined).
+    rows, at least two columns, all entries finite, and no constant column
+    (its sample variance is zero and its correlations undefined).
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"observations must be a 2-d array, got shape {X.shape}")
+    X = check_matrix(X, "observations")
     n, q = X.shape
     check_sample_count(n)
     if q < 2:
         raise ValueError(f"need at least 2 variables, got {q}")
-    if not np.isfinite(X).all():
-        raise ValueError("observations contain non-finite entries")
-    variances = X.var(axis=0, ddof=1)
-    dead = np.flatnonzero(variances == 0.0)
+    check_finite(X, "observations")
+    # an exact test: a variance pass misses a constant whose mean rounds (a column of 0.1s)
+    dead = np.flatnonzero((X == X[0]).all(axis=0))
     if dead.size:
         raise ValueError(f"column {dead[0]} has zero sample variance")
     return X
@@ -86,6 +115,8 @@ def sample_correlation(X):
     centered = X - X.mean(axis=0)
     S = centered.T @ centered / (n - 1)
     sd = np.sqrt(np.diag(S))
+    if not sd.all():  # a column whose spread underflows when squared (1e-300, 2e-300, ...)
+        raise ValueError(f"column {np.flatnonzero(sd == 0)[0]} has zero sample variance")
     R = S / np.outer(sd, sd)
     R = (R + R.T) / 2
     R = np.clip(R, -1.0, 1.0)
@@ -158,6 +189,7 @@ def vech_indices(m):
     the lower-including-diagonal triangle. The arrays are cached per ``m``
     and read-only.
     """
+    check_count("m", m, 0)
     iu, ju = np.triu_indices(m)
     return _read_only(ju), _read_only(iu)
 

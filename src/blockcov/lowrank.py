@@ -14,7 +14,8 @@ import numpy as np
 
 from ._rng import STREAM_PA, substream
 from ._twoline import two_segment_scan
-from .corr import build_gamma, check_count, check_square, sample_correlation, validate_observations
+from .corr import (build_gamma, check_count, check_finite, check_square, sample_correlation,
+                   validate_observations)
 
 
 @dataclass
@@ -66,7 +67,7 @@ def select_rank_cattell(s, r_max):
     the long tail of near-zero values cannot drown the elbow. The rank
     with the smallest total residual wins; ties go to the smallest rank.
     """
-    s = np.asarray(s, dtype=float)
+    s = check_finite(np.asarray(s, dtype=float), "scree")
     check_scree_size(s.size)
     check_count("r_max", r_max, 2, s.size - 1)
     window = min(3 * r_max, s.size)
@@ -117,7 +118,7 @@ def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
     if not 0 < quantile <= 1:
         raise ValueError(f"quantile must be in (0, 1], got {quantile}")
     n, q = X.shape
-    observed = np.asarray(s, dtype=float)
+    observed = check_finite(np.asarray(s, dtype=float), "scree")
     if observed.shape != (q - 1,):
         raise ValueError(f"expected {q - 1} scree values for q={q}, got shape {observed.shape}")
     permuted = np.empty((n_perm, q - 1))
@@ -153,4 +154,4 @@ def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
     r = max(r, 1)
     return RankSelection(r=r, method="pa",
                          trace={"quantile_curve": qcurve, "permutations": int(n_perm),
-                                "threads": threads})
+                                "eigendecompositions": int(n_perm), "threads": threads})

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .corr import check_square
+
 
 def frobenius_error(A, B):
     """Frobenius norm of A - B."""
@@ -21,7 +23,7 @@ def support_confusion(truth, estimate, zero_tol=1e-12):
     non-zeros, or no true zeros) is returned as NaN rather than 0.
     """
     truth = np.asarray(truth, dtype=bool)
-    E = np.asarray(estimate, dtype=float)
+    E = check_square(estimate, "estimate")
     if truth.shape != E.shape:
         raise ValueError(f"shape mismatch: {truth.shape} vs {E.shape}")
     iu = np.triu_indices(E.shape[0], k=1)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corr import check_count, check_square
+from .corr import check_count, check_finite, check_instance, check_integers, check_square
 
 
 @dataclass
@@ -53,9 +53,7 @@ def hclust_complete(d):
     merged cluster stays exact; only those that did, and the new cluster's
     own, are rescanned. Memory is O(q^2) and time typically O(q^2).
     """
-    d = check_square(d, "dissimilarity matrix")
-    if not np.isfinite(d).all():
-        raise ValueError("dissimilarity matrix contains non-finite entries")
+    d = check_finite(check_square(d, "dissimilarity matrix"), "dissimilarity matrix")
     if not np.array_equal(d, d.T):
         raise ValueError("dissimilarity matrix must be symmetric")
     q = d.shape[0]
@@ -107,6 +105,7 @@ def leaf_order(tree):
     Plotting the tree in this order has no crossing branches, so
     reordering variables by it makes latent blocks contiguous.
     """
+    check_instance("tree", tree, Dendrogram)
     q = tree.n_leaves
     if not tree.merges:
         return np.arange(q)
@@ -130,6 +129,7 @@ def cut_tree(tree, k):
     and labels the connected components 0..k-1 in leaf order of first
     appearance.
     """
+    check_instance("tree", tree, Dendrogram)
     q = tree.n_leaves
     check_count("k", k, 1, q)
     parent = list(range(q + len(tree.merges)))
@@ -162,9 +162,7 @@ def permute_matrix(M, order, inverse=False):
     """
     M = np.asarray(M)
     check_square(M, "matrix")
-    p = np.asarray(order)
-    if not np.issubdtype(p.dtype, np.integer):
-        raise ValueError(f"order must hold integers, got dtype {p.dtype}")
+    p = check_integers("order", order)
     if M.shape[0] != p.size:
         raise ValueError(f"matrix of shape {M.shape} does not match permutation of {p.size}")
     if not np.array_equal(np.sort(p), np.arange(p.size)):

@@ -119,39 +119,49 @@ def fixed_lambda(y, value):
     return LambdaSelection(lam=float(value), method="fixed", support_size=size)
 
 
-def _check_selector(name, value):
-    """Reject a ``bool`` selector, which would otherwise pass as the fixed value 1 or 0."""
-    if isinstance(value, (bool, np.bool_)):
-        raise ValueError(f"{name} must be a method name or a number, got {value!r}")
+def _rank_call(n, q, cfg):
+    """Apply the rank setting's rules; return the call that picks the rank from X and its scree."""
+    method = cfg.rank_method
+    if isinstance(method, (bool, np.bool_)):  # it would pass as the fixed rank 1 or 0
+        raise ValueError(f"rank_method must be a method name or a number, got {method!r}")
+    if isinstance(method, (int, np.integer)):
+        check_count("rank", method, 1, q - 1)
+        return lambda X, s: RankSelection(r=int(method), method="fixed")
+    if method == "cattell":
+        check_scree_size(q - 1)
+        return lambda X, s: select_rank_cattell(s, r_max=max(2, min(n - 1, q - 2, 50)))
+    if method == "pa":
+        return lambda X, s: select_rank_pa(X, s, n_perm=cfg.pa_permutations, seed=cfg.seed)
+    raise ValueError(f"unknown rank method {method!r}")
 
 
-def _check_up_front(n, q, cfg):
-    """Apply the size and threshold rules of later steps before any numerical work."""
-    with _step("rank-selection", {}, {}):
-        _check_selector("rank_method", cfg.rank_method)
-        if isinstance(cfg.rank_method, (int, np.integer)):
-            check_count("rank", cfg.rank_method, 1, q - 1)
-        elif cfg.rank_method == "cattell":
-            check_scree_size(q - 1)
-        elif cfg.rank_method != "pa":
-            raise ValueError(f"unknown rank method {cfg.rank_method!r}")
-    with _step("lambda-selection", {}, {}):
-        _check_selector("lambda_method", cfg.lambda_method)
-        if not isinstance(cfg.lambda_method, str):
-            check_nonnegative("lambda", cfg.lambda_method)
-        elif cfg.lambda_method == "bl":
-            check_cv_samples(n)
-        elif cfg.lambda_method != "elbow":
-            raise ValueError(f"unknown lambda method {cfg.lambda_method!r}")
-    with _step("inverse-square-root", {}, {}):
-        check_nonnegative("threshold", cfg.inv_sqrt_threshold)
+def _lambda_call(n, cfg):
+    """Apply the threshold setting's rules; return the call that picks it from X, r, G and G_r."""
+    method = cfg.lambda_method
+    if isinstance(method, (bool, np.bool_)):  # it would pass as the fixed threshold 1 or 0
+        raise ValueError(f"lambda_method must be a method name or a number, got {method!r}")
+    if not isinstance(method, str):
+        check_nonnegative("lambda", method)
+        return lambda X, r, G, y: fixed_lambda(y, method)
+    if method == "elbow":
+        return lambda X, r, G, y: select_lambda_elbow(vech(G), y, candidate_lambdas(y))
+    if method == "bl":
+        check_cv_samples(n)
+        return lambda X, r, G, y: select_lambda_bl(X, r, candidate_lambdas(y),
+                                                   n_splits=cfg.bl_splits, seed=cfg.seed)
+    raise ValueError(f"unknown lambda method {method!r}")
 
 
 def select(X, cfg):
-    """Selection stage: correlation, optional reordering, rank and threshold."""
+    """Selection stage: every setting's rules, correlation, reordering, rank and threshold."""
     X = validate_observations(X)
     n, q = X.shape
-    _check_up_front(n, q, cfg)
+    with _step("rank-selection", {}, {}):
+        select_rank = _rank_call(n, q, cfg)
+    with _step("lambda-selection", {}, {}):
+        select_lambda = _lambda_call(n, cfg)
+    with _step("inverse-square-root", {}, {}):
+        check_nonnegative("threshold", cfg.inv_sqrt_threshold)
     timings, cpu_s = {}, {}
 
     with _step("correlation", timings, cpu_s):
@@ -169,23 +179,11 @@ def select(X, cfg):
         s = scree(G)
 
     with _step("rank-selection", timings, cpu_s):
-        if isinstance(cfg.rank_method, (int, np.integer)):
-            rank = RankSelection(r=int(cfg.rank_method), method="fixed")
-        elif cfg.rank_method == "cattell":
-            rank = select_rank_cattell(s, r_max=max(2, min(n - 1, q - 2, 50)))
-        else:
-            rank = select_rank_pa(X, s, n_perm=cfg.pa_permutations, seed=cfg.seed)
+        rank = select_rank(X, s)
         y = vech(truncate_rank(G, rank.r))
 
     with _step("lambda-selection", timings, cpu_s):
-        if isinstance(cfg.lambda_method, str):
-            grid = candidate_lambdas(y)
-            if cfg.lambda_method == "elbow":
-                lam = select_lambda_elbow(vech(G), y, grid)
-            else:
-                lam = select_lambda_bl(X, rank.r, grid, n_splits=cfg.bl_splits, seed=cfg.seed)
-        else:
-            lam = fixed_lambda(y, cfg.lambda_method)
+        lam = select_lambda(X, rank.r, G, y)
 
     return Selection(permutation=perm, scree=s, rank=rank, y=y, lam=lam, timings=timings,
                      cpu_s=cpu_s)
@@ -220,12 +218,12 @@ def finish(sel, cfg):
         "bl_splits": sel.lam.trace.get("splits"),
         "pa_permutations": sel.rank.trace.get("permutations"),
     }
-    # full eigendecompositions per step: the scree, one per PA permutation and
-    # one for G_r, one per BL split and one for BL's full-data truncation
+    # full eigendecompositions per step: the scree, the selectors' own as their
+    # traces record them, and the truncation to G_r
     eig = {
         "correlation": 1,
-        "rank-selection": (selection["pa_permutations"] or 0) + 1,
-        "lambda-selection": selection["bl_splits"] + 1 if selection["bl_splits"] else 0,
+        "rank-selection": sel.rank.trace.get("eigendecompositions", 0) + 1,
+        "lambda-selection": sel.lam.trace.get("eigendecompositions", 0),
         "psd-projection": proj.eigh_calls,
         "inverse-square-root": 1,
     }

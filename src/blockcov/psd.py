@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corr import check_nonnegative, check_square
+from .corr import check_count, check_finite, check_nonnegative, check_square
 
 EIG_FLOOR = 1e-8  # smallest eigenvalue of a projection, relative to the largest
 # The projection stops once the RMS diagonal gap ||diag(X) - 1|| / sqrt(q) of
@@ -122,6 +122,13 @@ def _pcg(matvec, precond, b, rtol):
     return x, steps
 
 
+def _check_input(A):
+    """Return ``A`` as a float matrix, rejecting one that is not square, is empty or not finite."""
+    A = check_square(A, "input")
+    check_count("input size", A.shape[0], 1)
+    return check_finite(A, "input")
+
+
 def nearest_correlation(A):
     """Nearest correlation matrix by the dual Newton method.
 
@@ -135,7 +142,7 @@ def nearest_correlation(A):
     result is rescaled to an exactly-unit diagonal, so it is strictly
     positive definite and safe to eigendecompose downstream.
     """
-    A = check_square(A, "input")
+    A = _check_input(A)
     q = A.shape[0]
     cur = _Dual(A, 1.0 - np.diag(A))
     eigh_calls, cg_steps, steps = 1, 0, 0
@@ -179,7 +186,7 @@ def inv_sqrt(S, t):
     Eigenvalues above ``t`` enter as 1/sqrt(d); the rest contribute
     nothing. ``kept`` and ``dropped`` count the two groups.
     """
-    S = check_square(S, "input")
+    S = _check_input(S)
     check_nonnegative("threshold", t)
     w, V = np.linalg.eigh(S)
     keep = w > t

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import STREAM_COLPERM, STREAM_SAMPLE, STREAM_SCENARIO, substream
-from .corr import check_count, check_sample_count
+from .corr import check_count, check_instance, check_matrix, check_sample_count
 
 SCENARIOS = ("diagonal-equal", "diagonal-unequal", "extra-diagonal-equal", "extra-diagonal-unequal")
 
@@ -74,6 +74,7 @@ def block_sizes(q):
 
 def build_scenario(spec):
     """Construct the exact correlation target of a scenario."""
+    check_instance("spec", spec, ScenarioSpec)
     q = spec.q
     sizes = block_sizes(q)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
@@ -122,7 +123,7 @@ def permute_columns(X, seed=0):
     Returns the permuted matrix and the permutation used (new column j is
     old column perm[j]), so ``X_perm[:, np.argsort(perm)]`` restores X.
     """
-    X = np.asarray(X, dtype=float)
+    X = check_matrix(X, "observations")
     rng = substream(seed, STREAM_COLPERM)
     perm = rng.permutation(X.shape[1])
     return X[:, perm], perm

@@ -16,8 +16,8 @@ import numpy as np
 
 from ._rng import STREAM_BL, substream
 from ._twoline import two_segment_scan
-from .corr import (assemble_sigma, build_gamma, check_count, check_nonnegative, offdiag_vech,
-                   sample_correlation, validate_observations, vech)
+from .corr import (assemble_sigma, build_gamma, check_count, check_finite, check_nonnegative,
+                   offdiag_vech, sample_correlation, validate_observations, vech)
 from .lowrank import _THREADS_MIN_Q, _cpu_threads, truncate_rank
 
 
@@ -62,7 +62,7 @@ def candidate_lambdas(y, max_grid=100):
     grid is the sorted distinct values of 2|y_j| plus 0, downsampled evenly
     to at most ``max_grid`` points while always keeping both endpoints.
     """
-    y = np.asarray(y, dtype=float)
+    y = check_finite(np.asarray(y, dtype=float), "coefficient vector")
     if y.size == 0:
         raise ValueError("empty coefficient vector")
     check_count("max_grid", max_grid, 2)
@@ -133,6 +133,8 @@ def select_lambda_elbow(rvec, y, grid):
     rvec, y = np.asarray(rvec, dtype=float), np.asarray(y, dtype=float)
     if rvec.ndim != 1 or rvec.shape != y.shape:
         raise ValueError(f"rvec {rvec.shape} and y {y.shape} must be 1-d vectors of one length")
+    check_finite(rvec, "rvec")
+    check_finite(y, "y")
     loss, support = _threshold_loss(rvec, y, grid)
     curve = np.sqrt(loss)
     breaks = np.arange(1, grid.size - 1)
@@ -220,8 +222,10 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
             loss[k] += 2.0 * float(b @ b)
     pick = int(np.argmin(loss))
     lam = float(grid[pick])
+    # the pipeline already holds this truncation, G_r; the repeat costs one eigendecomposition
     y_full = vech(truncate_rank(build_gamma(sample_correlation(X)), r))
     support_size = int(np.count_nonzero(hard_threshold(y_full, lam)))
     return LambdaSelection(lam=lam, method="bl", support_size=support_size,
                            trace={"grid": grid, "loss": loss, "splits": int(n_splits),
+                                  "eigendecompositions": int(n_splits) + 1,
                                   "threads": 2 if threaded else 1})

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from blockcov.corr import (assemble_sigma, build_gamma, offdiag_indices, offdiag_vech,
-                           sample_correlation, validate_observations, vech, vech_indices)
+from blockcov.corr import (assemble_sigma, build_gamma, check_nonnegative, offdiag_indices,
+                           offdiag_vech, sample_correlation, validate_observations, vech,
+                           vech_indices)
 
 
 def pearson_oracle(X):
@@ -59,6 +60,22 @@ class TestSampleCorrelation:
         X[:, 0] = np.arange(5)
         X[:, 2] = np.arange(5) ** 2
         with pytest.raises(ValueError, match="column 1"):
+            sample_correlation(X)
+
+    @pytest.mark.parametrize("value, n", [(0.1, 3), (0.1, 7), (0.1, 30), (0.7, 7),
+                                          (100000.1, 7), (1 / 3, 7)])
+    def test_constant_column_rejected_whatever_its_rounding(self, value, n):
+        # the mean of n copies of 0.1 need not round to 0.1, so a variance pass
+        # leaves a few ulps of spread on such a column
+        X = np.random.default_rng(4).standard_normal((n, 4))
+        X[:, 2] = value
+        with pytest.raises(ValueError, match="column 2 has zero sample variance"):
+            validate_observations(X)
+
+    def test_spread_that_underflows_when_squared_rejected(self):
+        X = np.random.default_rng(4).standard_normal((3, 3))
+        X[:, 1] = [1e-300, 2e-300, 3e-300]
+        with pytest.raises(ValueError, match="column 1 has zero sample variance"):
             sample_correlation(X)
 
     def test_rejects_non_finite(self):
@@ -179,3 +196,19 @@ class TestAssembleSigma:
     def test_q_must_be_an_integer(self, v, q):
         with pytest.raises(ValueError, match=f"q must be an integer, got {q}"):
             assemble_sigma(v, q)
+
+
+class TestCheckNonnegative:
+    @pytest.mark.parametrize("value", [0, 0.0, 2.5, np.float64(1e-300), np.inf])
+    def test_accepts_non_negative_numbers(self, value):
+        check_nonnegative("lambda", value)
+
+    @pytest.mark.parametrize("value", [-1, -0.5, np.nan])
+    def test_negative_or_nan_keeps_its_message(self, value):
+        with pytest.raises(ValueError, match=f"lambda must be non-negative, got {value}"):
+            check_nonnegative("lambda", value)
+
+    @pytest.mark.parametrize("value", [None, "0.5", [0.5], np.array([0.5, 0.6]), 1j])
+    def test_non_number_is_a_value_error(self, value):
+        with pytest.raises(ValueError, match="lambda must be a number, got"):
+            check_nonnegative("lambda", value)

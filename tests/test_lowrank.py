@@ -276,6 +276,21 @@ class TestThreadedPA:
         assert np.array_equal(sel.trace["quantile_curve"], reference)
         assert sel.trace["threads"] == 1
 
+    @pytest.mark.parametrize("q, threads", [(60, 1), (100, 1), (100, 2)])
+    def test_trace_counts_every_permuted_matrix_decomposed(self, monkeypatch, q, threads):
+        X = np.random.default_rng(16).standard_normal((20, q))
+        s = observed_scree(X)
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: threads)
+        matrices = []  # list.append is safe across the stack threads
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(G):
+            matrices.append(int(np.prod(np.shape(G)[:-2])))
+            return eigvalsh(G)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        sel = select_rank_pa(X, s, n_perm=20, seed=3)
+        assert sel.trace["eigendecompositions"] == sum(matrices) == 20
+
     def test_stacked_eigvalsh_equals_one_call_per_matrix(self):
         # the premise of the bit identity above, on whichever numpy runs it
         rng = np.random.default_rng(16)

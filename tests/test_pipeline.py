@@ -133,6 +133,23 @@ class TestEstimate:
             estimate(X, PipelineConfig(**setting))
         assert correlations == []
 
+    @pytest.mark.parametrize("step, setting", [
+        ("lambda-selection", {"lambda_method": None}),
+        ("lambda-selection", {"lambda_method": [0.5]}),
+        ("inverse-square-root", {"inv_sqrt_threshold": None}),
+        ("inverse-square-root", {"inv_sqrt_threshold": "0.1"}),
+    ], ids=["none-lambda", "list-lambda", "none-threshold", "text-threshold"])
+    def test_setting_that_is_not_a_number_is_bad_input(self, monkeypatch, step, setting):
+        X = np.random.default_rng(6).standard_normal((10, 8))
+        correlations = []
+        monkeypatch.setattr(blockcov.pipeline, "sample_correlation",
+                            lambda X: correlations.append(X) or sample_correlation(X))
+        with pytest.raises(PipelineError, match=f"{step}.*must be a number, got") as exc:
+            estimate(X, PipelineConfig(**setting))
+        assert exc.value.step == step
+        assert type(exc.value.__cause__) is ValueError
+        assert correlations == []
+
     def test_numpy_integer_counts_accepted(self):
         cfg = PipelineConfig(seed=np.int64(3), pa_permutations=np.int32(2), bl_splits=np.int64(2))
         assert (cfg.seed, cfg.pa_permutations, cfg.bl_splits) == (3, 2, 2)
@@ -276,6 +293,20 @@ class TestEstimate:
         assert set(record) == {"correlation", "rank-selection", "lambda-selection",
                                "psd-projection", "inverse-square-root"} <= set(est.timings)
         assert record["psd-projection"] == est.diagnostics["projection"]["eigh_calls"]
+
+    @pytest.mark.parametrize("rank, lam", [("cattell", "elbow"), ("pa", "bl"), (5, 0.8)],
+                             ids=["cattell-elbow", "pa-bl", "5-0.8"])
+    def test_eigendecomposition_record_sums_the_selectors_traces(self, rank, lam):
+        X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=4)),
+                            15, seed=4)
+        est = estimate(X, PipelineConfig(rank_method=rank, lambda_method=lam, pa_permutations=3,
+                                         bl_splits=4, seed=4))
+        record = est.diagnostics["eigendecompositions"]
+        # the selectors' own decompositions, then the truncation to G_r
+        assert record["rank-selection"] == est.rank.trace.get("eigendecompositions", 0) + 1
+        assert record["lambda-selection"] == est.lam.trace.get("eigendecompositions", 0)
+        assert est.rank.trace.get("eigendecompositions") == (3 if rank == "pa" else None)
+        assert est.lam.trace.get("eigendecompositions") == (5 if lam == "bl" else None)
 
 
 class TestWhiten:

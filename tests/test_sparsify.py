@@ -438,6 +438,23 @@ class TestSelectLambdaBL:
         assert sel.lam == grid[int(np.argmin(loss))]
         assert sel.trace["threads"] == (2 if q >= _THREADS_MIN_Q else 1)
 
+    @pytest.mark.parametrize("q, cpus", [(40, 2), (120, 1), (120, 2)])
+    def test_trace_counts_every_eigendecomposition(self, monkeypatch, q, cpus):
+        X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", q, seed=2)),
+                            20, seed=2)
+        grid = candidate_lambdas(vech(truncate_rank(build_gamma(sample_correlation(X)), 5)))
+        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: cpus)
+        calls = []  # list.append is safe across the preparing thread
+        eigh = np.linalg.eigh
+
+        def counted(G):
+            calls.append(G.shape)
+            return eigh(G)
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        sel = select_lambda_bl(X, 5, grid, n_splits=4, seed=0)
+        # one truncation per split and one on the full data
+        assert sel.trace["eigendecompositions"] == len(calls) == 5
+
     def test_singleton_grid(self):
         rng = np.random.default_rng(9)
         X = rng.standard_normal((8, 5))
