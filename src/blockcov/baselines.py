@@ -7,7 +7,7 @@ cluster-pair block of the sample correlation by its mean value.
 import numpy as np
 
 from ._rng import STREAM_KMEANS, substream
-from .corr import check_count, check_integers, check_matrix, check_square
+from .corr import check_count, check_finite, check_integers, check_matrix, check_square
 
 
 def block_constant_estimator(R, labels):
@@ -18,7 +18,7 @@ def block_constant_estimator(R, labels):
     Singleton clusters have no off-diagonal pairs, so their within value
     is vacuous.
     """
-    R = check_square(R, "correlation matrix")
+    R = check_finite(check_square(R, "correlation matrix"), "correlation matrix")
     labels = check_integers("labels", labels)
     q = R.shape[0]
     if labels.shape != (q,):
@@ -55,7 +55,7 @@ def kmeans_columns(X, k, seed=0, n_init=10, max_iter=100):
     restart. Clusters emptied during an update are re-seeded with the
     point farthest from its assigned centroid.
     """
-    pts = np.ascontiguousarray(check_matrix(X, "observations").T)
+    pts = np.ascontiguousarray(check_finite(check_matrix(X, "observations"), "observations").T)
     q = pts.shape[0]
     check_count("k", k, 1, q)
     n_distinct = np.unique(pts, axis=0).shape[0]

@@ -165,17 +165,15 @@ def _cmd_estimate(args):
             "inv_sqrt_dropped": est.inv_sqrt.dropped,
             "reordered": bool(args.reorder),
             "timings_s": {k: round(v, 6) for k, v in est.timings.items()},
+            **est.diagnostics,
+            # rounded to the microsecond; the key keeps its place from the spread above
             "cpu_s": {k: round(v, 6) for k, v in est.diagnostics["cpu_s"].items()},
-            "threads": est.diagnostics["threads"],
-            "projection": est.diagnostics["projection"],
-            "selection": est.diagnostics["selection"],
-            "eigendecompositions": est.diagnostics["eigendecompositions"],
-            "scree": est.scree.tolist(),
-            "rank_trace": {k: np.asarray(v).tolist() for k, v in est.rank.trace.items()},
-            "lambda_trace": {k: np.asarray(v).tolist() for k, v in est.lam.trace.items()},
+            "scree": est.scree,
+            "rank_trace": est.rank.trace,
+            "lambda_trace": est.lam.trace,
         }
         with open(args.out_report, "w") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(report, fh, indent=2, default=lambda a: np.asarray(a).tolist())
             fh.write("\n")
     return 0
 

@@ -46,10 +46,12 @@ def check_square(A, what, stack=False):
 
 def check_nonnegative(name, value):
     """Reject a value below zero, NaN, which fails every comparison, and a non-number."""
+    if getattr(value, "ndim", 0):  # an array, even of one value, which compares as that value
+        raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         if value >= 0:
             return
-    except (TypeError, ValueError):  # None, a string, a list, an array of several values
+    except (TypeError, ValueError):  # None, a string, a list
         raise ValueError(f"{name} must be a number, got {value!r}") from None
     raise ValueError(f"{name} must be non-negative, got {value}")
 

@@ -58,6 +58,8 @@ def write_matrix_csv(path, M, names=None):
     elif M.ndim != 2:
         raise ValueError(f"expected a 1-d or 2-d array, got {M.ndim}-d")
     rows, cols = M.shape
+    if names is not None and len(names) != cols:
+        raise ValueError(f"{len(names)} names for {cols} columns")
     with open(path, "w", newline="") as fh:
         if names is not None:
             csv.writer(fh).writerow(names)

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .corr import check_square
+from .corr import check_finite, check_square
 
 
 def frobenius_error(A, B):
@@ -23,7 +23,7 @@ def support_confusion(truth, estimate, zero_tol=1e-12):
     non-zeros, or no true zeros) is returned as NaN rather than 0.
     """
     truth = np.asarray(truth, dtype=bool)
-    E = check_square(estimate, "estimate")
+    E = check_finite(check_square(estimate, "estimate"), "estimate")
     if truth.shape != E.shape:
         raise ValueError(f"shape mismatch: {truth.shape} vs {E.shape}")
     iu = np.triu_indices(E.shape[0], k=1)

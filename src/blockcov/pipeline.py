@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corr import (build_gamma, check_count, check_nonnegative, sample_correlation,
-                   validate_observations, vech)
+from .corr import (build_gamma, check_count, check_instance, check_nonnegative,
+                   sample_correlation, validate_observations, vech)
 from .lowrank import (RankSelection, check_scree_size, scree, select_rank_cattell, select_rank_pa,
                       truncate_rank)
 from .permute import dissimilarity, hclust_complete, leaf_order, permute_matrix
@@ -67,17 +67,16 @@ class CorrelationEstimate:
     variable order; ``permutation`` records the reordering used
     internally (identity when reordering is off) and ``scree`` the
     spectrum the rank was chosen from, in the working order.
-    ``diagnostics["projection"]`` records the Newton steps, CG steps,
-    eigendecompositions and final diagonal gap of the PSD projection;
-    ``diagnostics["selection"]`` the threshold grid size and the BL splits
-    and PA permutations, each ``None`` when its selector did not run;
-    ``diagnostics["eigendecompositions"]`` the full eigendecompositions
-    of each step, keyed by the step names of ``timings``, which holds wall
-    seconds; ``diagnostics["cpu_s"]`` the CPU seconds of the process in
-    each step, all threads together; ``diagnostics["threads"]`` the threads
-    each selector ran its replicates on (BLAS threads not counted);
-    ``diagnostics["inverse_root"]`` the eigenvalues the inverse square root
-    kept and dropped and the extreme eigenvalues of ``sigma_hat``.
+    ``timings`` holds each step's wall seconds, ``inv_sqrt`` the spectrum
+    the inverse root kept. ``diagnostics`` holds only what no other field
+    holds, in the order the ``--out-report`` JSON writes it: ``"cpu_s"``,
+    each step's process CPU seconds, all threads together; ``"threads"``,
+    the threads each selector ran its replicates on (BLAS threads not
+    counted); ``"projection"``, the PSD projection's Newton steps, CG
+    steps, eigendecompositions and final diagonal gap; ``"selection"``, the
+    threshold grid size, BL splits and PA permutations, each ``None`` when
+    its selector did not run; and ``"eigendecompositions"``, each step's
+    full eigendecompositions, keyed by the step names of ``timings``.
     """
 
     sigma_hat: np.ndarray
@@ -234,11 +233,11 @@ def finish(sel, cfg):
         sigma_hat=S_hat, sigma_tilde=S_tilde, support=support,
         rank=sel.rank, lam=lam, permutation=perm, scree=sel.scree,
         inv_sqrt=W, timings=timings,
-        diagnostics={"projection": {k: v for k, v in vars(proj).items() if k != "matrix"},
-                     "selection": selection, "eigendecompositions": eig, "cpu_s": cpu_s,
+        diagnostics={"cpu_s": cpu_s,
                      "threads": {"rank-selection": sel.rank.trace.get("threads", 1),
                                  "lambda-selection": sel.lam.trace.get("threads", 1)},
-                     "inverse_root": {k: v for k, v in vars(W).items() if k != "matrix"}})
+                     "projection": {k: v for k, v in vars(proj).items() if k != "matrix"},
+                     "selection": selection, "eigendecompositions": eig})
 
 
 def estimate(X, cfg=None):
@@ -256,6 +255,7 @@ def whiten(X, est):
     and the result does not depend on the scale or location of a column.
     """
     X = validate_observations(X)
+    check_instance("est", est, CorrelationEstimate)
     q = est.inv_sqrt.matrix.shape[0]
     if X.shape[1] != q:
         raise ValueError(f"observations of shape {X.shape} do not match a {q}-variable estimate")

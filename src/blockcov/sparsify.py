@@ -80,7 +80,7 @@ def support_lambda(y, size):
     shrink the support further. Used by benchmarks that feed the true
     support size to the estimator.
     """
-    y = np.asarray(y, dtype=float)
+    y = check_finite(np.asarray(y, dtype=float), "coefficient vector")
     check_count("size", size, 0)
     mags = np.sort(np.abs(y))[::-1]
     if size >= np.count_nonzero(mags):
@@ -164,15 +164,12 @@ def _one_ahead(fn, count, threaded):
     again in the caller at ``i``, and the worker is joined when the
     generator ends, fails or is closed.
     """
-    if not threaded:
+    with ThreadPoolExecutor(max_workers=1) as pool:  # no thread starts before a submit
+        ahead = pool.submit(fn, 0) if threaded and count > 0 else None
         for i in range(count):
-            yield fn(i)
-        return
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        ahead = pool.submit(fn, 0) if count > 0 else None
-        for i in range(count):
-            current = ahead.result()
-            ahead = pool.submit(fn, i + 1) if i + 1 < count else None
+            current = ahead.result() if threaded else fn(i)
+            if threaded and i + 1 < count:
+                ahead = pool.submit(fn, i + 1)
             yield current
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import blockcov.benchmark
+import blockcov.cli
 import blockcov.pipeline
 import blockcov.psd
 from blockcov.cli import main
@@ -262,6 +263,29 @@ class TestEstimateReport:
             assert data["lambda"] in data["lambda_trace"]["grid"]
         else:
             assert data["rank_trace"] == data["lambda_trace"] == {}
+
+    @pytest.mark.parametrize("extra", [
+        ["--rank", "pa", "--lambda", "bl", "--reorder"],
+        ["--rank", 5, "--lambda", 0.4],
+    ], ids=["pa-bl-reorder", "5-0.4"])
+    def test_every_diagnostics_record_is_in_the_report(self, tmp_path, monkeypatch, extra):
+        x, _, _ = simulate_files(tmp_path, q=30, n=20, seed=5, extra=["--permute-columns"])
+        report = tmp_path / "report.json"
+        runs = []
+        monkeypatch.setattr(blockcov.cli, "estimate",
+                            lambda X, cfg: runs.append(estimate(X, cfg)) or runs[-1])
+        assert run(["estimate", "--input", x, *extra, "--out-report", report]) == 0
+        data = json.loads(report.read_text())
+        diagnostics = runs[0].diagnostics
+        keys = list(data)
+        start = keys.index("timings_s") + 1
+        assert keys[start:start + len(diagnostics)] == list(diagnostics)
+        for key, record in diagnostics.items():
+            if key == "cpu_s":
+                assert data[key].keys() == record.keys()
+                assert all(abs(data[key][step] - v) <= 1e-6 for step, v in record.items())
+            else:
+                assert data[key] == record, key
 
     def test_curve_lengths_and_keys(self, tmp_path):
         x, _, _ = simulate_files(tmp_path, q=30, n=20, seed=5)

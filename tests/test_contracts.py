@@ -100,6 +100,17 @@ ROWS = [
      r"observations must be a 2-d array, got shape \(3,\)"),
     ("PipelineConfig", lambda: bc.PipelineConfig(seed=-1), "seed must be non-negative, got -1"),
     ("ScenarioSpec", lambda: bc.ScenarioSpec("x", 10), "unknown scenario 'x'"),
+    ("hard_threshold", lambda: bc.hard_threshold(np.ones(3), np.array([0.5])),
+     r"lambda must be a number, got array\(\[0\.5\]\)"),
+    ("support_lambda", lambda: bc.support_lambda(np.full(3, np.nan), 1),
+     "non-finite entries in coefficient vector"),
+    ("kmeans_columns", lambda: bc.kmeans_columns(np.full((3, 4), np.nan), 2),
+     "non-finite entries in observations"),
+    ("block_constant_estimator", lambda: bc.block_constant_estimator(NAN, [0, 1, 2]),
+     "non-finite entries in correlation matrix"),
+    ("support_confusion", lambda: bc.support_confusion(np.ones((3, 3), bool), NAN),
+     "non-finite entries in estimate"),
+    ("whiten", lambda: bc.whiten(X_RANDOM, None), "est must be a CorrelationEstimate, got NoneType"),
 ]
 
 

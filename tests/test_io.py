@@ -75,6 +75,13 @@ def test_round_trip_with_header(tmp_path):
     assert np.array_equal(back, M)
 
 
+def test_names_must_match_the_columns(tmp_path):
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="1 names for 3 columns"):
+        write_matrix_csv(path, np.ones((2, 3)), names=["a"])
+    assert not path.exists()
+
+
 def test_vector_written_as_column(tmp_path):
     path = tmp_path / "v.csv"
     write_matrix_csv(path, np.array([3, 1, 2]))

@@ -248,15 +248,12 @@ class TestEstimate:
         truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=4))
         X, _ = permute_columns(sample_gaussian(truth, 15, seed=4), seed=4)
         est = estimate(X, PipelineConfig(reorder=True, inv_sqrt_threshold=0.5))
-        record = est.diagnostics["inverse_root"]
-        W = est.inv_sqrt
-        assert record == {"kept": W.kept, "dropped": W.dropped,
-                          "eig_min": W.eig_min, "eig_max": W.eig_max}
+        record = est.inv_sqrt
         w = np.linalg.eigvalsh(est.sigma_hat)
-        assert record["dropped"] == np.count_nonzero(w <= 0.5) > 0
-        assert record["kept"] + record["dropped"] == 30
-        assert abs(record["eig_min"] - w[0]) <= 1e-10
-        assert abs(record["eig_max"] - w[-1]) <= 1e-10
+        assert record.dropped == np.count_nonzero(w <= 0.5) > 0
+        assert record.kept + record.dropped == 30
+        assert abs(record.eig_min - w[0]) <= 1e-10
+        assert abs(record.eig_max - w[-1]) <= 1e-10
 
     @pytest.mark.parametrize("rank, lam, reorder", [
         ("cattell", "elbow", False), ("pa", "bl", False), ("pa", "bl", True), (5, 0.8, False),
