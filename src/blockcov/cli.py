@@ -77,9 +77,8 @@ def _build_parser():
                                          "--reorder here (single-column CSV)")
     est.add_argument("--out-report", help="write a JSON report (rank, lambda, support size, "
                                           "eigenvalue extremes, wall and CPU timings, "
-                                          "selector threads, projection and "
-                                          "selection work, eigendecompositions per step, "
-                                          "and the selection curves: "
+                                          "projection work, eigendecompositions per step, "
+                                          "and the selection curves and counts: "
                                           "scree, rank_trace, lambda_trace)")
     est.set_defaults(func=_cmd_estimate)
 
@@ -151,7 +150,7 @@ def _cmd_estimate(args):
         write_matrix_csv(args.out_order, est.permutation)
     if args.out_report:
         report = {
-            "schema": "blockcov-report v1",
+            "schema": "blockcov-report v2",
             "n": int(X.shape[0]),
             "q": int(X.shape[1]),
             "rank": est.rank.r,

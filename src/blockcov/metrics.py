@@ -21,8 +21,12 @@ def support_confusion(truth, estimate, zero_tol=1e-12):
     (hard thresholding produces exact zeros, so the tolerance only guards
     against later fill-in). A rate whose reference class is empty (no true
     non-zeros, or no true zeros) is returned as NaN rather than 0.
+    ``truth`` holds booleans or 0/1 values.
     """
-    truth = np.asarray(truth, dtype=bool)
+    mask = np.asarray(truth)
+    truth = mask.astype(bool)
+    if not np.array_equal(truth, mask):  # a NaN, 0.5 or 2 would read as a support entry
+        raise ValueError("truth must hold booleans or 0/1 values")
     E = check_finite(check_square(estimate, "estimate"), "estimate")
     if truth.shape != E.shape:
         raise ValueError(f"shape mismatch: {truth.shape} vs {E.shape}")

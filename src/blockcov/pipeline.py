@@ -68,15 +68,15 @@ class CorrelationEstimate:
     internally (identity when reordering is off) and ``scree`` the
     spectrum the rank was chosen from, in the working order.
     ``timings`` holds each step's wall seconds, ``inv_sqrt`` the spectrum
-    the inverse root kept. ``diagnostics`` holds only what no other field
-    holds, in the order the ``--out-report`` JSON writes it: ``"cpu_s"``,
-    each step's process CPU seconds, all threads together; ``"threads"``,
-    the threads each selector ran its replicates on (BLAS threads not
-    counted); ``"projection"``, the PSD projection's Newton steps, CG
-    steps, eigendecompositions and final diagonal gap; ``"selection"``, the
-    threshold grid size, BL splits and PA permutations, each ``None`` when
-    its selector did not run; and ``"eigendecompositions"``, each step's
-    full eigendecompositions, keyed by the step names of ``timings``.
+    the inverse root kept. Each selector's ``trace`` records what it ran:
+    PA its ``"permutations"`` and ``"threads"``, BL its ``"splits"``,
+    ``"grid"`` and ``"threads"`` (BLAS threads not counted), elbow its
+    ``"grid"``. ``diagnostics`` holds only what no other field holds, in
+    the order the ``--out-report`` JSON writes it: ``"cpu_s"``, each step's
+    process CPU seconds, all threads together; ``"projection"``, the PSD
+    projection's Newton steps, CG steps, eigendecompositions and final
+    diagonal gap; and ``"eigendecompositions"``, each step's full
+    eigendecompositions, keyed by the step names of ``timings``.
     """
 
     sigma_hat: np.ndarray
@@ -211,12 +211,6 @@ def finish(sel, cfg):
         support = S_tilde != 0.0
         np.fill_diagonal(support, False)
 
-    # what the selectors ran, as their traces record it; absent keys are None
-    selection = {
-        "lambda_grid_size": sel.lam.trace["grid"].size if "grid" in sel.lam.trace else None,
-        "bl_splits": sel.lam.trace.get("splits"),
-        "pa_permutations": sel.rank.trace.get("permutations"),
-    }
     # full eigendecompositions per step: the scree, the selectors' own as their
     # traces record them, and the truncation to G_r
     eig = {
@@ -234,10 +228,8 @@ def finish(sel, cfg):
         rank=sel.rank, lam=lam, permutation=perm, scree=sel.scree,
         inv_sqrt=W, timings=timings,
         diagnostics={"cpu_s": cpu_s,
-                     "threads": {"rank-selection": sel.rank.trace.get("threads", 1),
-                                 "lambda-selection": sel.lam.trace.get("threads", 1)},
                      "projection": {k: v for k, v in vars(proj).items() if k != "matrix"},
-                     "selection": selection, "eigendecompositions": eig})
+                     "eigendecompositions": eig})
 
 
 def estimate(X, cfg=None):

@@ -98,8 +98,8 @@ class TestEstimateCommand:
         assert "timings_s" in data
         assert set(data["projection"]) == {"newton_steps", "cg_steps", "eigh_calls", "diag_gap"}
         assert data["projection"]["diag_gap"] <= 1e-7
-        assert data["selection"] == {"lambda_grid_size": 100, "bl_splits": None,
-                                     "pa_permutations": None}
+        assert len(data["lambda_trace"]["grid"]) == 100
+        assert "splits" not in data["lambda_trace"] and "permutations" not in data["rank_trace"]
         assert data["eigendecompositions"] == {
             "correlation": 1, "rank-selection": 1, "lambda-selection": 0,
             "psd-projection": data["projection"]["eigh_calls"], "inverse-square-root": 1}
@@ -287,6 +287,18 @@ class TestEstimateReport:
             else:
                 assert data[key] == record, key
 
+    def test_pa_bl_counts_live_only_in_the_traces(self, tmp_path):
+        x, _, _ = simulate_files(tmp_path, q=30, n=20, seed=5, extra=["--permute-columns"])
+        report = tmp_path / "report.json"
+        assert run(["estimate", "--input", x, "--rank", "pa", "--lambda", "bl", "--reorder",
+                    "--out-report", report]) == 0
+        data = json.loads(report.read_text())
+        assert data["schema"] == "blockcov-report v2"
+        assert not {"threads", "selection"} & set(data)
+        assert {"threads", "permutations"} <= set(data["rank_trace"])
+        assert {"threads", "splits", "grid"} <= set(data["lambda_trace"])
+        assert data["rank_trace"]["permutations"] == data["lambda_trace"]["splits"] == 50
+
     def test_curve_lengths_and_keys(self, tmp_path):
         x, _, _ = simulate_files(tmp_path, q=30, n=20, seed=5)
         report = tmp_path / "report.json"
@@ -345,6 +357,13 @@ class TestBenchmarkCommand:
         code = run(["benchmark", "--methods", "specc", "--out", tmp_path / "r.csv"])
         assert code == 1
         assert "specc" in capsys.readouterr().err
+
+    def test_non_integer_list_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run(["benchmark", "--n-list", "20,x", "--out", out]) == 1
+        assert ("--n-list and --q-list must be comma-separated integers"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_deterministic_given_seed(self, tmp_path):
         outs = []

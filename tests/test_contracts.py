@@ -111,6 +111,8 @@ ROWS = [
     ("support_confusion", lambda: bc.support_confusion(np.ones((3, 3), bool), NAN),
      "non-finite entries in estimate"),
     ("whiten", lambda: bc.whiten(X_RANDOM, None), "est must be a CorrelationEstimate, got NoneType"),
+    ("support_confusion", lambda: bc.support_confusion(np.full((3, 3), 0.5), np.eye(3) + 0.5),
+     "truth must hold booleans or 0/1 values"),
 ]
 
 

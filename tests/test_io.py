@@ -222,6 +222,13 @@ def test_non_numeric_rejected(tmp_path):
         read_matrix_csv(path)
 
 
+def test_header_only_file_rejected(tmp_path):
+    path = tmp_path / "header_only.csv"
+    path.write_text("a,b,c\n")
+    with pytest.raises(ValueError, match="no data rows after header"):
+        read_matrix_csv(path, header=True)
+
+
 def test_header_width_mismatch_rejected(tmp_path):
     path = tmp_path / "short_header.csv"
     path.write_text("a,b,c\n" + "1,2,3,4\n" * 6)

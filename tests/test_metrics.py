@@ -94,3 +94,16 @@ class TestSupportConfusion:
         assert fpr == 0.0
         _, fpr = support_confusion(truth, est, zero_tol=1e-14)
         assert fpr == 1.0
+
+    def test_zero_one_mask_reads_as_booleans(self):
+        truth = np.zeros((4, 4), dtype=bool)
+        truth[0, 1] = truth[1, 0] = True
+        est = np.where(truth, 0.5, 0.0) + np.eye(4)
+        assert support_confusion(truth.astype(float), est) == support_confusion(truth, est)
+
+    @pytest.mark.parametrize("bad", [np.nan, 0.5, 2.0, -1.0])
+    def test_mask_value_other_than_zero_or_one_is_rejected(self, bad):
+        truth = np.zeros((3, 3))
+        truth[0, 1] = truth[1, 0] = bad
+        with pytest.raises(ValueError, match="truth must hold booleans or 0/1 values"):
+            support_confusion(truth, np.eye(3) + 0.5)

@@ -252,3 +252,5 @@ class TestPermuteMatrix:
         # a float order is not truncated to [0, 1, 2]
         with pytest.raises(ValueError, match="order must hold integers"):
             permute_matrix(np.eye(3), [0.0, 1.9, 2.2])
+        with pytest.raises(ValueError, match="does not match permutation of 4"):
+            permute_matrix(np.eye(3), np.arange(4))

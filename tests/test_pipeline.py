@@ -229,20 +229,10 @@ class TestEstimate:
         monkeypatch.setattr(blockcov.pipeline, "select_lambda_bl", counted_bl)
         est = estimate(X, PipelineConfig(rank_method="pa", lambda_method="bl",
                                          pa_permutations=3, bl_splits=4))
-        record = est.diagnostics["selection"]
-        assert record == {"lambda_grid_size": 100, "bl_splits": 4, "pa_permutations": 3}
-        assert in_bl == [4 * record["lambda_grid_size"]]
-
-    @pytest.mark.parametrize("rank, lam, record", [
-        ("cattell", "elbow", {"lambda_grid_size": 100, "bl_splits": None, "pa_permutations": None}),
-        ("pa", 0.5, {"lambda_grid_size": None, "bl_splits": None, "pa_permutations": 7}),
-        (3, "bl", {"lambda_grid_size": 100, "bl_splits": 4, "pa_permutations": None}),
-    ])
-    def test_selection_record_is_none_for_selectors_that_did_not_run(self, rank, lam, record):
-        truth = build_scenario(ScenarioSpec("diagonal-equal", 20, seed=8))
-        X = sample_gaussian(truth, 15, seed=8)
-        cfg = PipelineConfig(rank_method=rank, lambda_method=lam, pa_permutations=7, bl_splits=4)
-        assert estimate(X, cfg).diagnostics["selection"] == record
+        splits, grid = est.lam.trace["splits"], est.lam.trace["grid"].size
+        assert (est.rank.trace["permutations"], splits, grid) == (3, 4, 100)
+        assert in_bl == [splits * grid]
+        assert list(est.diagnostics) == ["cpu_s", "projection", "eigendecompositions"]
 
     def test_inverse_root_record_counts_the_kept_spectrum(self):
         truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=4))

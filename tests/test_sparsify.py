@@ -139,8 +139,9 @@ class TestCandidateLambdas:
         assert grid[-1] == 2 * np.abs(y).max()
 
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            candidate_lambdas(np.array([]))
+        for y in (np.array([]), []):
+            with pytest.raises(ValueError, match="empty coefficient vector"):
+                candidate_lambdas(y)
 
     @pytest.mark.parametrize("max_grid", [1, 2.5, True])
     def test_rejects_bad_max_grid(self, max_grid):
@@ -374,6 +375,11 @@ def assert_bl_matches_reference(q, data_seed):
 
 
 class TestSelectLambdaBL:
+    def test_empty_grid_rejected(self):
+        X = np.random.default_rng(3).standard_normal((10, 6))
+        with pytest.raises(ValueError, match="empty threshold grid"):
+            select_lambda_bl(X, 2, [])
+
     def test_loss_is_bit_identical_to_the_reference_loop(self):
         assert 60 < _THREADS_MIN_Q  # the serial path
         assert_bl_matches_reference(60, 0)
