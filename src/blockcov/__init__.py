@@ -10,12 +10,11 @@ spectrum. Rank and sparsity level are selected from the data.
 from .baselines import block_constant_estimator, kmeans_columns
 from .corr import assemble_sigma, build_gamma, sample_correlation, vech, vech_indices
 from .lowrank import RankSelection, scree, select_rank_cattell, select_rank_pa, truncate_rank
-from .metrics import frobenius_error, support_confusion
+from .metrics import frobenius_error, support_confusion, whitening_error
 from .permute import (Dendrogram, cut_tree, dissimilarity, hclust_complete, leaf_order,
                       permute_matrix)
 from .pipeline import CorrelationEstimate, PipelineConfig, PipelineError, estimate, whiten
-from .psd import (ConvergenceError, InvSqrtResult, ProjectionResult, inv_sqrt,
-                  nearest_correlation, whitening_error)
+from .psd import ConvergenceError, InvSqrtResult, ProjectionResult, inv_sqrt, nearest_correlation
 from .simulate import SCENARIOS, GroundTruth, ScenarioSpec, build_scenario, permute_columns, \
     sample_gaussian
 from .sparsify import (LambdaSelection, candidate_lambdas, hard_threshold, select_lambda_bl,

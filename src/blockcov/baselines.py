@@ -46,14 +46,19 @@ def block_constant_estimator(R, labels):
     return out
 
 
-def kmeans_columns(X, k, seed=0, n_init=10, max_iter=100):
+KMEANS_RESTARTS = 10
+KMEANS_MAX_ITER = 100
+
+
+def kmeans_columns(X, k, seed=0):
     """Cluster the columns of ``X`` with Lloyd's algorithm.
 
-    Each of the ``n_init`` restarts starts from k distinct columns drawn
-    without replacement from its own substream; the clustering with the
-    smallest within-cluster sum of squares wins, ties keeping the earliest
-    restart. Clusters emptied during an update are re-seeded with the
-    point farthest from its assigned centroid.
+    Each of the ``KMEANS_RESTARTS`` restarts starts from k distinct
+    columns drawn without replacement from its own substream; the
+    clustering with the smallest within-cluster sum of squares wins, ties
+    keeping the earliest restart, which stops when its labels repeat or
+    after ``KMEANS_MAX_ITER`` updates. Clusters emptied during an update
+    are re-seeded with the point farthest from its assigned centroid.
     """
     pts = np.ascontiguousarray(check_finite(check_matrix(X, "observations"), "observations").T)
     q = pts.shape[0]
@@ -63,11 +68,11 @@ def kmeans_columns(X, k, seed=0, n_init=10, max_iter=100):
         raise ValueError(f"k={k} exceeds the {n_distinct} distinct columns")
     best_labels = None
     best_wcss = np.inf
-    for restart in range(n_init):
+    for restart in range(KMEANS_RESTARTS):
         rng = substream(seed, STREAM_KMEANS, restart)
         centroids = pts[rng.choice(q, size=k, replace=False)].copy()
         labels = None
-        for _ in range(max_iter):
+        for _ in range(KMEANS_MAX_ITER):
             d2 = _sq_distances(pts, centroids)
             new_labels = d2.argmin(axis=1)
             for c in range(k):

@@ -15,10 +15,10 @@ from time import perf_counter
 from ._rng import STREAM_BENCH, derive_seed
 from .baselines import block_constant_estimator, kmeans_columns
 from .corr import check_count, check_sample_count, sample_correlation
-from .metrics import frobenius_error, support_confusion
+from .metrics import frobenius_error, support_confusion, whitening_error
 from .permute import cut_tree, dissimilarity, hclust_complete, permute_matrix
 from .pipeline import PipelineConfig, estimate, finish, fixed_lambda, select
-from .psd import inv_sqrt, whitening_error
+from .psd import inv_sqrt
 from .simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
 from .sparsify import check_cv_samples, support_lambda
 

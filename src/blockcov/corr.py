@@ -46,7 +46,8 @@ def check_square(A, what, stack=False):
 
 def check_nonnegative(name, value):
     """Reject a value below zero, NaN, which fails every comparison, and a non-number."""
-    if getattr(value, "ndim", 0):  # an array, even of one value, which compares as that value
+    # an array, even of one value, compares as that value; True and False as 1 and 0
+    if getattr(value, "ndim", 0) or isinstance(value, (bool, np.bool_)):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
         if value >= 0:

@@ -79,11 +79,10 @@ def select_rank_cattell(s, r_max):
 # eigenvalues, so PA decomposes its permutations in stacks of at least this
 # many; a larger call releases it, and the stacks of two threads overlap.
 _STACK_EIGENVALUES = 512
-# From this many variables on, PA spreads its stacks over the CPUs it may use
-# and, given two, BL prepares its next split on a worker thread. Below it the
-# hand-off costs about what the overlap saves. One BLAS thread on two cores, threaded
-# against serial: BL 1.0-1.25 at q = 80, 0.89-0.98 at q = 90, 0.64 at q = 200;
-# PA 1.1-1.5 at q = 60-80, 0.81-1.05 at q = 90-100, 0.60-0.86 at q = 110-200.
+# From this many variables on, PA and BL run their replicates on threads. Below
+# it the hand-off costs about what the overlap saves. One BLAS thread on two cores,
+# threaded against serial: BL 1.0-1.25 at q = 80, 0.89-0.98 at q = 90, 0.64 at
+# q = 200; PA 1.1-1.5 at q = 60-80, 0.81-1.05 at q = 90-100, 0.60-0.86 at q = 110-200.
 _THREADS_MIN_Q = 90
 
 
@@ -93,6 +92,14 @@ def _cpu_threads():
         return len(os.sched_getaffinity(0))
     except AttributeError:  # platforms without CPU affinity
         return os.cpu_count() or 1
+
+
+def _replicate_threads(q, tasks):
+    """Threads for ``tasks`` replicates on ``q`` variables, the caller's included.
+
+    1 below ``_THREADS_MIN_Q``, else one per CPU the process may use, at most one per task.
+    """
+    return min(_cpu_threads(), tasks) if q >= _THREADS_MIN_Q else 1
 
 
 def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
@@ -108,10 +115,10 @@ def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
     is bit-reproducible and independent of evaluation order.
 
     Replicates are decomposed in stacks of ``ceil(512 / (q - 1))``, one
-    ``scree`` call each. From q = 90 variables on (``_THREADS_MIN_Q``),
-    stack c runs on thread ``c mod w`` of the ``w`` CPUs the process may
-    use, thread 0 being this one. Each scree is written to its replicate's
-    row, so the result is bit-identical to a serial run.
+    ``scree`` call each. Stack c runs on thread ``c mod w`` of
+    ``w = _replicate_threads(q, stacks)``, thread 0 being this one. Each
+    scree is written to its replicate's row, so the result is
+    bit-identical to a serial run.
     """
     X = validate_observations(X)
     check_count("n_perm", n_perm, 1)
@@ -135,7 +142,7 @@ def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
             G[b - start] = build_gamma(sample_correlation(Xp))
         permuted[start:stop] = scree(G)
 
-    threads = min(_cpu_threads(), len(starts)) if q >= _THREADS_MIN_Q else 1
+    threads = _replicate_threads(q, len(starts))
 
     def stacks(t):
         for start in starts[t::threads]:

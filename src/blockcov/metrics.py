@@ -1,8 +1,8 @@
-"""Estimation-quality metrics: Frobenius error and support recovery rates."""
+"""Estimation-quality metrics: Frobenius error, support recovery rates, whitening error."""
 
 import numpy as np
 
-from .corr import check_finite, check_square
+from .corr import check_finite, check_nonnegative, check_square
 
 
 def frobenius_error(A, B):
@@ -23,6 +23,7 @@ def support_confusion(truth, estimate, zero_tol=1e-12):
     non-zeros, or no true zeros) is returned as NaN rather than 0.
     ``truth`` holds booleans or 0/1 values.
     """
+    check_nonnegative("zero_tol", zero_tol)
     mask = np.asarray(truth)
     truth = mask.astype(bool)
     if not np.array_equal(truth, mask):  # a NaN, 0.5 or 2 would read as a support entry
@@ -40,3 +41,12 @@ def support_confusion(truth, estimate, zero_tol=1e-12):
     tpr = tp / (tp + fn) if tp + fn else float("nan")
     fpr = fp / (fp + tn) if fp + tn else float("nan")
     return tpr, fpr
+
+
+def whitening_error(W, Sigma):
+    """Frobenius norm of W Sigma W - I, the residual dependence after whitening."""
+    W = check_square(W, "whitening matrix")
+    Sigma = np.asarray(Sigma, dtype=float)
+    if Sigma.shape != W.shape:
+        raise ValueError(f"shape mismatch: {W.shape} vs {Sigma.shape}")
+    return float(np.linalg.norm(W @ Sigma @ W - np.eye(W.shape[0])))

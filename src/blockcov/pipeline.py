@@ -121,9 +121,7 @@ def fixed_lambda(y, value):
 def _rank_call(n, q, cfg):
     """Apply the rank setting's rules; return the call that picks the rank from X and its scree."""
     method = cfg.rank_method
-    if isinstance(method, (bool, np.bool_)):  # it would pass as the fixed rank 1 or 0
-        raise ValueError(f"rank_method must be a method name or a number, got {method!r}")
-    if isinstance(method, (int, np.integer)):
+    if not isinstance(method, str):
         check_count("rank", method, 1, q - 1)
         return lambda X, s: RankSelection(r=int(method), method="fixed")
     if method == "cattell":
@@ -137,8 +135,6 @@ def _rank_call(n, q, cfg):
 def _lambda_call(n, cfg):
     """Apply the threshold setting's rules; return the call that picks it from X, r, G and G_r."""
     method = cfg.lambda_method
-    if isinstance(method, (bool, np.bool_)):  # it would pass as the fixed threshold 1 or 0
-        raise ValueError(f"lambda_method must be a method name or a number, got {method!r}")
     if not isinstance(method, str):
         check_nonnegative("lambda", method)
         return lambda X, r, G, y: fixed_lambda(y, method)

@@ -196,12 +196,3 @@ def inv_sqrt(S, t):
     W = (W + W.T) / 2
     return InvSqrtResult(matrix=W, kept=int(keep.sum()), dropped=int((~keep).sum()),
                          eig_min=float(w[0]), eig_max=float(w[-1]))
-
-
-def whitening_error(W, Sigma):
-    """Frobenius norm of W Sigma W - I, the residual dependence after whitening."""
-    W = check_square(W, "whitening matrix")
-    Sigma = np.asarray(Sigma, dtype=float)
-    if Sigma.shape != W.shape:
-        raise ValueError(f"shape mismatch: {W.shape} vs {Sigma.shape}")
-    return float(np.linalg.norm(W @ Sigma @ W - np.eye(W.shape[0])))

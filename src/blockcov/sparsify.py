@@ -18,7 +18,7 @@ from ._rng import STREAM_BL, substream
 from ._twoline import two_segment_scan
 from .corr import (assemble_sigma, build_gamma, check_count, check_finite, check_nonnegative,
                    offdiag_vech, sample_correlation, validate_observations, vech)
-from .lowrank import _THREADS_MIN_Q, _cpu_threads, truncate_rank
+from .lowrank import _replicate_threads, truncate_rank
 
 
 @dataclass
@@ -184,12 +184,12 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     rather than re-selected per split. Split ``i`` draws from substream
     ``i`` of ``seed``.
 
-    From q = 90 variables on (``_THREADS_MIN_Q``), and when the process
-    may use two CPUs or more, one worker thread prepares the next split
-    (its two correlations and the rank truncation) while this thread
-    scores the current one. Losses are summed in split
-    order on this thread, so the result is bit-identical to a serial run,
-    whatever the thread timing or the benchmark's ``--jobs``.
+    When ``_replicate_threads(q, min(n_splits, 2))`` gives two threads,
+    one worker thread prepares the next split (its two correlations and
+    the rank truncation) while this thread scores the current one. Losses
+    are summed in split order on this thread, so the result is
+    bit-identical to a serial run, whatever the thread timing or the
+    benchmark's ``--jobs``.
     """
     X = validate_observations(X)
     n, q = X.shape
@@ -209,9 +209,9 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
         # only a kept entry with |y1| > 1 can leave [-1, 1]
         return y1, offdiag_vech(R2), np.flatnonzero(np.abs(y1) > 1.0)
 
-    threaded = q >= _THREADS_MIN_Q and _cpu_threads() >= 2
+    threads = _replicate_threads(q, min(n_splits, 2))  # this one and at most one preparer
     loss = np.zeros(grid.size)
-    for y1, rvec2, out in _one_ahead(split, n_splits, threaded):
+    for y1, rvec2, out in _one_ahead(split, n_splits, threads > 1):
         for k, lam in enumerate(grid):
             b = hard_threshold(y1, lam)
             b[out] = np.clip(b[out], -1.0, 1.0)
@@ -225,4 +225,4 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     return LambdaSelection(lam=lam, method="bl", support_size=support_size,
                            trace={"grid": grid, "loss": loss, "splits": int(n_splits),
                                   "eigendecompositions": int(n_splits) + 1,
-                                  "threads": 2 if threaded else 1})
+                                  "threads": threads})

@@ -139,7 +139,7 @@ class TestKmeansColumns:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((8, 6))
         X[:, :3] += 6.0
-        labels = kmeans_columns(X, 2, seed=1, n_init=10)
+        labels = kmeans_columns(X, 2, seed=1)
         oracle_labels, oracle_wcss = kmeans_oracle(np.ascontiguousarray(X.T), 2)
         assert as_partition(labels) == as_partition(oracle_labels)
 

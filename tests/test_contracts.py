@@ -113,6 +113,9 @@ ROWS = [
     ("whiten", lambda: bc.whiten(X_RANDOM, None), "est must be a CorrelationEstimate, got NoneType"),
     ("support_confusion", lambda: bc.support_confusion(np.full((3, 3), 0.5), np.eye(3) + 0.5),
      "truth must hold booleans or 0/1 values"),
+    ("support_confusion", lambda: bc.support_confusion(np.eye(3, dtype=bool), np.eye(3),
+                                                       zero_tol=-1),
+     "zero_tol must be non-negative, got -1"),
 ]
 
 

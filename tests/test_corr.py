@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -211,4 +213,10 @@ class TestCheckNonnegative:
     @pytest.mark.parametrize("value", [None, "0.5", [0.5], np.array([0.5, 0.6]), 1j])
     def test_non_number_is_a_value_error(self, value):
         with pytest.raises(ValueError, match="lambda must be a number, got"):
+            check_nonnegative("lambda", value)
+
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_boolean_is_not_a_number(self, value):
+        message = f"lambda must be a number, got {re.escape(repr(value))}"
+        with pytest.raises(ValueError, match=message):
             check_nonnegative("lambda", value)

@@ -6,8 +6,8 @@ import pytest
 import blockcov.lowrank
 from blockcov._rng import STREAM_PA, substream
 from blockcov.corr import build_gamma, sample_correlation
-from blockcov.lowrank import (_THREADS_MIN_Q, scree, select_rank_cattell, select_rank_pa,
-                              truncate_rank)
+from blockcov.lowrank import (_THREADS_MIN_Q, _replicate_threads, scree, select_rank_cattell,
+                              select_rank_pa, truncate_rank)
 from blockcov.sparsify import select_lambda_bl
 
 
@@ -238,6 +238,18 @@ def null_screes_reference(X, n_perm, seed):
         Xp = np.take_along_axis(X, np.argsort(keys, axis=0), axis=0)
         permuted[b] = scree(build_gamma(sample_correlation(Xp)))
     return permuted
+
+
+class TestReplicateThreads:
+    @pytest.mark.parametrize("q, cpus, tasks, threads", [
+        (89, 1, 1, 1), (89, 1, 3, 1), (89, 2, 1, 1), (89, 2, 3, 1), (89, 4, 1, 1), (89, 4, 3, 1),
+        (90, 1, 1, 1), (90, 1, 3, 1), (90, 2, 1, 1), (90, 2, 3, 2), (90, 4, 1, 1), (90, 4, 3, 3),
+    ])
+    def test_one_below_the_cutoff_else_one_per_cpu_and_task(self, monkeypatch, q, cpus, tasks,
+                                                            threads):
+        assert _THREADS_MIN_Q == 90
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: cpus)
+        assert _replicate_threads(q, tasks) == threads
 
 
 class TestThreadedPA:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from blockcov.metrics import frobenius_error, support_confusion
+from blockcov.corr import sample_correlation
+from blockcov.metrics import frobenius_error, support_confusion, whitening_error
+from blockcov.psd import inv_sqrt
 
 
 def confusion_oracle(truth, estimate, zero_tol):
@@ -107,3 +109,21 @@ class TestSupportConfusion:
         truth[0, 1] = truth[1, 0] = bad
         with pytest.raises(ValueError, match="truth must hold booleans or 0/1 values"):
             support_confusion(truth, np.eye(3) + 0.5)
+
+
+class TestWhiteningError:
+    def test_exact_inverse_root_scores_zero(self):
+        rng = np.random.default_rng(7)
+        M = sample_correlation(rng.standard_normal((40, 6)))
+        W = inv_sqrt(M, 0.0).matrix
+        assert whitening_error(W, M) <= 1e-8
+
+    def test_identity_pair(self):
+        assert whitening_error(np.eye(4), np.eye(4)) == 0.0
+
+    def test_single_entry_difference(self):
+        assert whitening_error(np.eye(2), np.diag([2.0, 1.0])) == pytest.approx(1.0)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="mismatch"):
+            whitening_error(np.eye(3), np.eye(4))

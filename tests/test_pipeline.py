@@ -150,6 +150,30 @@ class TestEstimate:
         assert type(exc.value.__cause__) is ValueError
         assert correlations == []
 
+    @pytest.mark.parametrize("step, setting, message", [
+        ("lambda-selection", {"lambda_method": True}, r"lambda must be a number, got True"),
+        ("lambda-selection", {"lambda_method": np.True_},
+         r"lambda must be a number, got (np\.)?True"),
+        ("inverse-square-root", {"inv_sqrt_threshold": True},
+         r"threshold must be a number, got True"),
+        ("inverse-square-root", {"inv_sqrt_threshold": np.True_},
+         r"threshold must be a number, got (np\.)?True"),
+        ("rank-selection", {"rank_method": 2.5}, r"rank must be an integer, got 2\.5"),
+        ("rank-selection", {"rank_method": 5.0}, r"rank must be an integer, got 5\.0"),
+        ("rank-selection", {"rank_method": np.float64(3)}, r"rank must be an integer, got"),
+    ], ids=["bool-lambda", "numpy-bool-lambda", "bool-threshold", "numpy-bool-threshold",
+            "fractional-rank", "float-rank", "numpy-float-rank"])
+    def test_setting_fails_its_number_check_before_the_correlation(self, monkeypatch, step,
+                                                                   setting, message):
+        X = np.random.default_rng(6).standard_normal((10, 8))
+        correlations = []
+        monkeypatch.setattr(blockcov.pipeline, "sample_correlation",
+                            lambda X: correlations.append(X) or sample_correlation(X))
+        with pytest.raises(PipelineError, match=message) as exc:
+            estimate(X, PipelineConfig(**setting))
+        assert exc.value.step == step
+        assert correlations == []
+
     def test_numpy_integer_counts_accepted(self):
         cfg = PipelineConfig(seed=np.int64(3), pa_permutations=np.int32(2), bl_splits=np.int64(2))
         assert (cfg.seed, cfg.pa_permutations, cfg.bl_splits) == (3, 2, 2)

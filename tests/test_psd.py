@@ -5,7 +5,7 @@ import blockcov.psd
 from blockcov.corr import sample_correlation
 from blockcov.pipeline import PipelineConfig, select
 from blockcov.psd import (_CG_SHIFT, DIAG_TOL, EIG_FLOOR, ConvergenceError, InvSqrtResult,
-                          _Dual, inv_sqrt, nearest_correlation, whitening_error)
+                          _Dual, inv_sqrt, nearest_correlation)
 from blockcov.simulate import ScenarioSpec, build_scenario, sample_gaussian
 from blockcov.sparsify import sparse_sigma
 
@@ -237,27 +237,14 @@ class TestInvSqrt:
         assert np.allclose(r1.matrix, r2.matrix, atol=1e-10)
         assert (r1.kept, r1.dropped) == (r2.kept, r2.dropped)
 
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    def test_boolean_threshold_is_not_a_number(self, value):
+        with pytest.raises(ValueError, match=r"threshold must be a number, got (np\.)?True"):
+            inv_sqrt(np.eye(3), value)
+
     def test_kept_plus_dropped(self):
         rng = np.random.default_rng(6)
         M = sample_correlation(rng.standard_normal((9, 7)))
         res = inv_sqrt(M, 0.2)
         assert res.kept + res.dropped == 7
         assert isinstance(res, InvSqrtResult)
-
-
-class TestWhiteningError:
-    def test_exact_inverse_root_scores_zero(self):
-        rng = np.random.default_rng(7)
-        M = sample_correlation(rng.standard_normal((40, 6)))
-        W = inv_sqrt(M, 0.0).matrix
-        assert whitening_error(W, M) <= 1e-8
-
-    def test_identity_pair(self):
-        assert whitening_error(np.eye(4), np.eye(4)) == 0.0
-
-    def test_single_entry_difference(self):
-        assert whitening_error(np.eye(2), np.diag([2.0, 1.0])) == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            whitening_error(np.eye(3), np.eye(4))

@@ -4,17 +4,18 @@ import threading
 import numpy as np
 import pytest
 
+import blockcov.lowrank
 import blockcov.sparsify
 from blockcov._rng import STREAM_BL, substream
 from blockcov.cli import main
 from blockcov.corr import build_gamma, sample_correlation, vech
 from blockcov.io import write_matrix_csv
-from blockcov.lowrank import truncate_rank
+from blockcov.lowrank import _THREADS_MIN_Q, truncate_rank
 from blockcov.pipeline import PipelineConfig, PipelineError, estimate
 from blockcov.simulate import ScenarioSpec, build_scenario, sample_gaussian
-from blockcov.sparsify import (_THREADS_MIN_Q, _one_ahead, candidate_lambdas,
-                               default_train_size, hard_threshold, select_lambda_bl,
-                               select_lambda_elbow, soft_threshold, sparse_sigma, support_lambda)
+from blockcov.sparsify import (_one_ahead, candidate_lambdas, default_train_size,
+                               hard_threshold, select_lambda_bl, select_lambda_elbow,
+                               soft_threshold, sparse_sigma, support_lambda)
 
 
 def scan_oracle(y, lam, soft):
@@ -119,6 +120,13 @@ class TestThresholds:
             hard_threshold(np.array([1.0]), -0.1)
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0]), -0.1)
+
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+    @pytest.mark.parametrize("threshold", [hard_threshold, soft_threshold],
+                             ids=["hard", "soft"])
+    def test_boolean_lambda_is_not_a_number(self, threshold, value):
+        with pytest.raises(ValueError, match=r"lambda must be a number, got (np\.)?True"):
+            threshold(np.array([1.0]), value)
 
 
 class TestCandidateLambdas:
@@ -386,7 +394,7 @@ class TestSelectLambdaBL:
 
     def test_threaded_loss_is_bit_identical_to_the_reference_loop(self, monkeypatch):
         assert 120 >= _THREADS_MIN_Q
-        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 2)
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: 2)
         # truncate_rank is looked up as a module global, so this wrapper sees
         # the thread each split is prepared on
         threads = []
@@ -405,7 +413,7 @@ class TestSelectLambdaBL:
         X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", 120, seed=4)),
                             30, seed=4)
         grid = candidate_lambdas(vech(truncate_rank(build_gamma(sample_correlation(X)), 5)))
-        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 2)
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: 2)
         threaded = select_lambda_bl(X, 5, grid, n_splits=5, seed=0)
         seen = []
 
@@ -413,7 +421,7 @@ class TestSelectLambdaBL:
             seen.append((threading.get_ident(), threading.active_count()))
             return truncate_rank(G, r)
 
-        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 1)
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: 1)
         monkeypatch.setattr(blockcov.sparsify, "truncate_rank", recording)
         before = threading.active_count()
         serial = select_lambda_bl(X, 5, grid, n_splits=5, seed=0)
@@ -421,9 +429,30 @@ class TestSelectLambdaBL:
         assert (threaded.trace["threads"], serial.trace["threads"]) == (2, 1)
         assert np.array_equal(serial.trace["loss"], threaded.trace["loss"])
 
+    def test_one_split_is_prepared_on_this_thread(self, monkeypatch):
+        # a worker could overlap nothing: the caller would only wait for it
+        assert 120 >= _THREADS_MIN_Q
+        X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", 120, seed=4)),
+                            30, seed=4)
+        grid = candidate_lambdas(vech(truncate_rank(build_gamma(sample_correlation(X)), 5)))
+        seen = []
+
+        def recording(G, r):
+            seen.append((threading.get_ident(), threading.active_count()))
+            return truncate_rank(G, r)
+
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: 2)
+        monkeypatch.setattr(blockcov.sparsify, "truncate_rank", recording)
+        before = threading.active_count()
+        sel = select_lambda_bl(X, 5, grid, n_splits=1, seed=0)
+        loss, _ = bl_loss_reference(X, 5, grid, 1, 0)
+        assert seen == [(threading.get_ident(), before)] * 2  # the split and the support count
+        assert sel.trace["threads"] == 1
+        assert np.array_equal(sel.trace["loss"], loss)
+
     @pytest.mark.parametrize("q", [40, 120], ids=["serial", "threaded"])
     def test_clip_at_and_beyond_one_matches_the_reference_loop(self, monkeypatch, q):
-        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 2)
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: 2)
         # the truncation of every split gets entries exactly at +-1, which stay,
         # and entries beyond, which are clipped while kept; the grid points
         # from 2 on drop them one by one
@@ -449,7 +478,7 @@ class TestSelectLambdaBL:
         X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", q, seed=2)),
                             20, seed=2)
         grid = candidate_lambdas(vech(truncate_rank(build_gamma(sample_correlation(X)), 5)))
-        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: cpus)
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: cpus)
         calls = []  # list.append is safe across the preparing thread
         eigh = np.linalg.eigh
 
@@ -565,8 +594,8 @@ class TestFailingSplit:
 
     @pytest.mark.parametrize("min_q", [_THREADS_MIN_Q, 10 ** 9], ids=["threaded", "serial"])
     def test_selector_raises_the_split_error(self, X, monkeypatch, min_q):
-        monkeypatch.setattr(blockcov.sparsify, "_THREADS_MIN_Q", min_q)
-        monkeypatch.setattr(blockcov.sparsify, "_cpu_threads", lambda: 2)
+        monkeypatch.setattr(blockcov.lowrank, "_THREADS_MIN_Q", min_q)
+        monkeypatch.setattr(blockcov.lowrank, "_cpu_threads", lambda: 2)
         before = threading.active_count()
         with pytest.raises(ValueError, match="column 7 has zero sample variance"):
             select_lambda_bl(X, 3, np.array([0.0, 0.5]), n_splits=4, seed=0)
