@@ -14,7 +14,7 @@ from time import perf_counter
 
 from ._rng import STREAM_BENCH, derive_seed
 from .baselines import block_constant_estimator, kmeans_columns
-from .corr import check_count, check_sample_count, sample_correlation
+from .corr import check_count, check_flag, check_sample_count, sample_correlation
 from .metrics import frobenius_error, support_confusion, whitening_error
 from .permute import cut_tree, dissimilarity, hclust_complete, permute_matrix
 from .pipeline import PipelineConfig, estimate, finish, fixed_lambda, select
@@ -63,6 +63,8 @@ def run_benchmark(cfg):
     check_count("reps", cfg.reps, 1)
     check_count("jobs", cfg.jobs, 1)
     check_count("seed", cfg.seed, 0)
+    check_flag("reorder", cfg.reorder)
+    check_flag("permute_columns", cfg.permute_columns)
     tasks = [(cfg, si, scenario, n, q, rep)
              for si, scenario in enumerate(cfg.scenarios)
              for n in cfg.n_list

@@ -57,6 +57,12 @@ def check_nonnegative(name, value):
     raise ValueError(f"{name} must be non-negative, got {value}")
 
 
+def check_flag(name, value):
+    """Reject a flag that is not ``True`` or ``False``, Python's or numpy's."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be True or False, got {value!r}")
+
+
 def check_matrix(X, what):
     """Return ``X`` as a float array, rejecting anything but a 2-d one."""
     X = np.asarray(X, dtype=float)
@@ -139,32 +145,24 @@ def build_gamma(R):
     return G + np.triu(G, 1).T
 
 
-def _read_only(a):
-    a.flags.writeable = False
-    return a
-
-
-# The index maps are built once per size and shared, so they are read-only;
-# a pipeline run needs two sizes (q and q - 1), and a small bound keeps the
-# caches from growing with every size a long-lived process meets.
-@lru_cache(maxsize=4)
 def offdiag_indices(q):
     """Index pair (rows, cols) of the strictly-upper entries of a q x q matrix, row by row.
 
     This is the order of ``vech(build_gamma(R))``: its k-th entry is
     ``R[rows[k], cols[k]]``, and ``assemble_sigma`` writes ``v[k]`` there.
-    The arrays are cached per ``q`` and read-only.
     """
-    rows, cols = np.triu_indices(q, 1)
-    return _read_only(rows), _read_only(cols)
+    return np.triu_indices(q, 1)
 
 
+# The module's one cache: row-major positions of index_map(m) in an m x m matrix, which a
+# 1-d take gathers at a quarter of the 2-d fancy index's cost. A run needs two sizes (q and
+# q - 1), and the bound keeps a long-lived process from growing it. Shared, so read-only.
 @lru_cache(maxsize=4)
 def _flat_positions(index_map, m):
-    # row-major positions of index_map(m) in an m x m matrix: a 1-d take
-    # gathers the same entries as the 2-d fancy index, at a quarter of its cost
     rows, cols = index_map(m)
-    return _read_only(rows * m + cols)
+    pos = rows * m + cols
+    pos.flags.writeable = False
+    return pos
 
 
 def offdiag_vech(R):
@@ -184,17 +182,15 @@ def _check_correlation_shape(R):
     return R
 
 
-@lru_cache(maxsize=4)
 def vech_indices(m):
     """Index pair (rows, cols) addressing the entries of ``vech``.
 
     ``vech(A)[k] == A[rows[k], cols[k]]``; the order is column-major over
-    the lower-including-diagonal triangle. The arrays are cached per ``m``
-    and read-only.
+    the lower-including-diagonal triangle.
     """
     check_count("m", m, 0)
     iu, ju = np.triu_indices(m)
-    return _read_only(ju), _read_only(iu)
+    return ju, iu
 
 
 def vech(A):
@@ -221,8 +217,8 @@ def assemble_sigma(v, q):
     expected = q * (q - 1) // 2
     if v.ndim != 1 or v.size != expected:
         raise ValueError(f"expected q(q-1)/2 = {expected} values for q={q}, got {v.size}")
-    rows, cols = offdiag_indices(q)
+    pos = _flat_positions(offdiag_indices, q)
     S = np.eye(q)
-    S[rows, cols] = v
-    S[cols, rows] = v
+    S.ravel()[pos] = v
+    S.T.flat[pos] = v  # (i, j) of S.T is (j, i) of S: the lower triangle
     return S

@@ -84,6 +84,7 @@ _STACK_EIGENVALUES = 512
 # threaded against serial: BL 1.0-1.25 at q = 80, 0.89-0.98 at q = 90, 0.64 at
 # q = 200; PA 1.1-1.5 at q = 60-80, 0.81-1.05 at q = 90-100, 0.60-0.86 at q = 110-200.
 _THREADS_MIN_Q = 90
+PA_QUANTILE = 0.95  # PA keeps a component while it beats this quantile of the permuted ones
 
 
 def _cpu_threads():
@@ -102,17 +103,17 @@ def _replicate_threads(q, tasks):
     return min(_cpu_threads(), tasks) if q >= _THREADS_MIN_Q else 1
 
 
-def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
+def select_rank_pa(X, s, n_perm=50, seed=0):
     """Parallel-analysis rank choice.
 
     ``s`` is the observed scree of ``X``: ``scree(build_gamma(R))`` for
     its sample correlation ``R``. Each replicate permutes the entries of
     every column of ``X`` independently and recomputes the scree of the
     off-diagonal arrangement. A component is retained while its observed
-    value exceeds the per-index empirical quantile of the permuted values;
-    retention stops at the first failure and at least rank 1 is returned.
-    Replicates draw from independent substreams of ``seed``, so the result
-    is bit-reproducible and independent of evaluation order.
+    value exceeds the per-index ``PA_QUANTILE`` quantile of the permuted
+    values; retention stops at the first failure and at least rank 1 is
+    returned. Replicates draw from independent substreams of ``seed``, so
+    the result is bit-reproducible and independent of evaluation order.
 
     Replicates are decomposed in stacks of ``ceil(512 / (q - 1))``, one
     ``scree`` call each. Stack c runs on thread ``c mod w`` of
@@ -122,8 +123,6 @@ def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
     """
     X = validate_observations(X)
     check_count("n_perm", n_perm, 1)
-    if not 0 < quantile <= 1:
-        raise ValueError(f"quantile must be in (0, 1], got {quantile}")
     n, q = X.shape
     observed = check_finite(np.asarray(s, dtype=float), "scree")
     if observed.shape != (q - 1,):
@@ -154,7 +153,7 @@ def select_rank_pa(X, s, n_perm=50, quantile=0.95, seed=0):
         stacks(0)
         for worker in workers:
             worker.result()
-    qcurve = np.quantile(permuted, quantile, axis=0)
+    qcurve = np.quantile(permuted, PA_QUANTILE, axis=0)
     retained = observed > qcurve
     failures = np.flatnonzero(~retained)
     r = int(failures[0]) if failures.size else int(retained.size)

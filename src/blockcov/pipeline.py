@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corr import (build_gamma, check_count, check_instance, check_nonnegative,
+from .corr import (build_gamma, check_count, check_flag, check_instance, check_nonnegative,
                    sample_correlation, validate_observations, vech)
 from .lowrank import (RankSelection, check_scree_size, scree, select_rank_cattell, select_rank_pa,
                       truncate_rank)
@@ -39,6 +39,7 @@ class PipelineConfig:
     bl_splits: int = 50
 
     def __post_init__(self):
+        check_flag("reorder", self.reorder)
         check_count("seed", self.seed, 0)
         check_count("pa_permutations", self.pa_permutations, 1)
         check_count("bl_splits", self.bl_splits, 1)

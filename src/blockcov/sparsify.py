@@ -203,11 +203,11 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     def split(i):
         mask = np.zeros(n, dtype=bool)
         mask[substream(seed, STREAM_BL, i).permutation(n)[:train_size]] = True
-        R1 = sample_correlation(X[mask])
-        R2 = sample_correlation(X[~mask])
-        y1 = vech(truncate_rank(build_gamma(R1), r))
+        # the training side first: no held-out correlation is held across the eigh
+        y1 = vech(truncate_rank(build_gamma(sample_correlation(X[mask])), r))
+        rvec2 = offdiag_vech(sample_correlation(X[~mask]))
         # only a kept entry with |y1| > 1 can leave [-1, 1]
-        return y1, offdiag_vech(R2), np.flatnonzero(np.abs(y1) > 1.0)
+        return y1, rvec2, np.flatnonzero(np.abs(y1) > 1.0)
 
     threads = _replicate_threads(q, min(n_splits, 2))  # this one and at most one preparer
     loss = np.zeros(grid.size)

@@ -1,4 +1,5 @@
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,9 +49,13 @@ def test_unknown_method_rejected():
     dict(seed=2.5),
     dict(seed=-1),
     dict(n_list=(20, 20.5)),
+    dict(reorder="no"),
+    dict(permute_columns="no"),
+    dict(permute_columns=1),
 ], ids=["unknown-scenario-second", "q-too-small-second", "zero-reps", "zero-jobs",
         "one-sample-second", "bl-on-n4-second", "fractional-reps", "bool-reps", "float-jobs",
-        "fractional-seed", "negative-seed", "fractional-n-second"])
+        "fractional-seed", "negative-seed", "fractional-n-second", "string-reorder",
+        "string-permute-columns", "int-permute-columns"])
 def test_bad_config_rejected_before_any_cell(monkeypatch, bad):
     built = []
     monkeypatch.setattr(blockcov.benchmark, "build_scenario",
@@ -60,6 +65,16 @@ def test_bad_config_rejected_before_any_cell(monkeypatch, bad):
     with pytest.raises(ValueError):
         run_benchmark(BenchmarkConfig(**{**cfg, **bad}))
     assert built == []
+
+
+@pytest.mark.parametrize("flag", ["reorder", "permute_columns"])
+def test_flags_must_be_booleans(flag):
+    cfg = BenchmarkConfig(scenarios=("diagonal-equal",), n_list=(20,), q_list=(20,),
+                          methods=("empirical",), **{flag: "no"})
+    with pytest.raises(ValueError, match=f"{flag} must be True or False, got 'no'"):
+        run_benchmark(cfg)
+    # numpy's booleans are booleans
+    assert len(run_benchmark(replace(cfg, **{flag: np.True_}))) == 1
 
 
 @pytest.mark.parametrize("scrambled", [False, True])

@@ -116,6 +116,10 @@ ROWS = [
     ("support_confusion", lambda: bc.support_confusion(np.eye(3, dtype=bool), np.eye(3),
                                                        zero_tol=-1),
      "zero_tol must be non-negative, got -1"),
+    ("PipelineConfig", lambda: bc.PipelineConfig(reorder="no"),
+     "reorder must be True or False, got 'no'"),
+    ("PipelineConfig", lambda: bc.PipelineConfig(reorder=1),
+     "reorder must be True or False, got 1"),
 ]
 
 

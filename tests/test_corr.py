@@ -1,11 +1,15 @@
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from blockcov.corr import (assemble_sigma, build_gamma, check_nonnegative, offdiag_indices,
-                           offdiag_vech, sample_correlation, validate_observations, vech,
-                           vech_indices)
+import blockcov.corr
+from blockcov.corr import (_flat_positions, assemble_sigma, build_gamma, check_flag,
+                           check_nonnegative, offdiag_indices, offdiag_vech, sample_correlation,
+                           validate_observations, vech, vech_indices)
+from blockcov.pipeline import PipelineConfig, estimate
 
 
 def pearson_oracle(X):
@@ -156,15 +160,71 @@ class TestVech:
             vech(np.ones((2, 3)))
 
 
+def _vech_reference(m):
+    rows, cols = np.triu_indices(m)
+    return cols, rows
+
+
 class TestIndexMaps:
-    @pytest.mark.parametrize("index_map", [vech_indices, offdiag_indices])
-    def test_built_once_and_read_only(self, index_map):
+    @pytest.mark.parametrize("index_map, reference", [
+        (vech_indices, _vech_reference), (offdiag_indices, lambda m: np.triu_indices(m, 1)),
+    ], ids=["vech_indices", "offdiag_indices"])
+    def test_built_once_and_read_only(self, index_map, reference):
+        # the cache holds one position array per layout and size, and nothing else
+        _flat_positions.cache_clear()
+        built = []
+
+        def counting(m):
+            built.append(m)
+            return index_map(m)
+
+        pos = _flat_positions(counting, 7)
+        assert _flat_positions(counting, 7) is pos and built == [7]
+        assert _flat_positions.cache_info().currsize == 1
+        with pytest.raises(ValueError, match="read-only"):
+            pos[0] = 1
         rows, cols = index_map(7)
-        assert index_map(7)[0] is rows and index_map(7)[1] is cols
-        for a in (rows, cols):
-            with pytest.raises(ValueError, match="read-only"):
-                a[0] = 1
-        assert np.array_equal(index_map(7)[0], rows)
+        assert np.array_equal(pos, rows * 7 + cols)
+        # the pair map itself is not cached: fresh, writable arrays each call
+        assert not hasattr(index_map, "cache_info")
+        assert index_map(7)[0] is not rows and index_map(7)[1] is not cols
+        assert rows.flags.writeable and cols.flags.writeable
+        expected = reference(7)
+        assert np.array_equal(rows, expected[0]) and np.array_equal(cols, expected[1])
+
+    def test_an_estimate_builds_each_size_once(self, monkeypatch):
+        built = {"vech": [], "offdiag": []}
+        monkeypatch.setattr(blockcov.corr, "vech_indices",
+                            lambda m: built["vech"].append(m) or vech_indices(m))
+        monkeypatch.setattr(blockcov.corr, "offdiag_indices",
+                            lambda q: built["offdiag"].append(q) or offdiag_indices(q))
+        X = np.random.default_rng(8).standard_normal((12, 9))
+        cfg = PipelineConfig(rank_method="pa", lambda_method="bl", pa_permutations=2,
+                             bl_splits=2)
+        for _ in range(2):
+            estimate(X, cfg)
+        assert built == {"vech": [8], "offdiag": [9]}
+
+    @pytest.mark.parametrize("rank, lam", [("cattell", "elbow"), ("pa", "bl")])
+    def test_an_estimate_leaves_one_q_squared_allocated(self, rank, lam):
+        # after one estimate only the two position arrays, q(q-1)/2 int64 each, stay
+        q = 120
+        X = np.random.default_rng(9).standard_normal((30, q))
+        cfg = PipelineConfig(rank_method=rank, lambda_method=lam, pa_permutations=4,
+                             bl_splits=4)
+        estimate(X, cfg)  # warm-up: first-call state of numpy and the interpreter
+        _flat_positions.cache_clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            est = estimate(X, cfg)
+            del est
+            gc.collect()
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert left <= 1.1 * q * q * 8
 
     def test_gathers_match_the_index_pairs_on_any_layout(self):
         A = np.random.default_rng(6).standard_normal((8, 8))
@@ -184,6 +244,10 @@ class TestAssembleSigma:
             R = sample_correlation(rng.standard_normal((25, q)))
             back = assemble_sigma(vech(build_gamma(R)), q)
             assert np.array_equal(back, R)
+
+    def test_negative_zero_reaches_both_triangles(self):
+        S = assemble_sigma(np.array([-0.0, 0.5, -0.0]), 3)
+        assert np.array_equal(np.signbit(S), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
     def test_single_entry_placement(self):
         S = assemble_sigma(np.array([0.7, 0.0, 0.0]), 3)
@@ -220,3 +284,15 @@ class TestCheckNonnegative:
         message = f"lambda must be a number, got {re.escape(repr(value))}"
         with pytest.raises(ValueError, match=message):
             check_nonnegative("lambda", value)
+
+
+class TestCheckFlag:
+    @pytest.mark.parametrize("value", [True, False, np.True_, np.False_])
+    def test_accepts_booleans(self, value):
+        check_flag("reorder", value)
+
+    @pytest.mark.parametrize("value", ["no", "", 1, 0, 1.0, None, np.array([True]), [True]])
+    def test_rejects_anything_else(self, value):
+        message = f"reorder must be True or False, got {re.escape(repr(value))}"
+        with pytest.raises(ValueError, match=message):
+            check_flag("reorder", value)

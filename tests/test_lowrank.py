@@ -181,7 +181,7 @@ class TestSelectRankPA:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((20, 12))
         obs = observed_scree(X)
-        sel = select_rank_pa(X, obs, n_perm=20, quantile=0.95, seed=11)
+        sel = select_rank_pa(X, obs, n_perm=20, seed=11)
         ref_r, ref_curve = pa_reference(X, 20, 0.95, 11)
         assert sel.r == ref_r
         assert np.allclose(sel.trace["quantile_curve"], ref_curve, atol=1e-10)
@@ -190,10 +190,19 @@ class TestSelectRankPA:
         curve = sel.trace["quantile_curve"]
         assert np.all(obs[:sel.r - 1] > curve[:sel.r - 1])
 
-    def test_degenerate_single_permutation(self):
+    def test_quantile_is_read_at_call_time(self, monkeypatch):
+        X = np.random.default_rng(7).standard_normal((20, 12))
+        monkeypatch.setattr(blockcov.lowrank, "PA_QUANTILE", 0.5)
+        sel = select_rank_pa(X, observed_scree(X), n_perm=20, seed=11)
+        ref_r, ref_curve = pa_reference(X, 20, 0.5, 11)
+        assert sel.r == ref_r
+        assert np.allclose(sel.trace["quantile_curve"], ref_curve, atol=1e-10)
+
+    def test_degenerate_single_permutation(self, monkeypatch):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((10, 6))
-        sel = select_rank_pa(X, observed_scree(X), n_perm=1, quantile=1.0, seed=3)
+        monkeypatch.setattr(blockcov.lowrank, "PA_QUANTILE", 1.0)  # read at call time
+        sel = select_rank_pa(X, observed_scree(X), n_perm=1, seed=3)
         # hand-run of the same substream: one column-wise permutation
         gen = substream(3, STREAM_PA, 0)
         keys = gen.random(X.shape)
@@ -223,8 +232,6 @@ class TestSelectRankPA:
                 select_rank_pa(X, observed_scree(X), n_perm=bad)
             with pytest.raises(ValueError, match="n_splits"):
                 select_lambda_bl(X, 2, np.array([0.0, 0.5]), n_splits=bad)
-        with pytest.raises(ValueError, match="quantile"):
-            select_rank_pa(X, observed_scree(X), quantile=0.0)
         with pytest.raises(ValueError, match="scree values"):
             select_rank_pa(X, observed_scree(X)[:-1])
 

@@ -121,8 +121,10 @@ class TestEstimate:
         ({"rank_method": "pa", "pa_permutations": 2.5}, "pa_permutations must be an integer"),
         ({"lambda_method": "bl", "bl_splits": 2.5}, "bl_splits must be an integer"),
         ({"lambda_method": "bl", "bl_splits": 4.0}, "bl_splits must be an integer"),
+        ({"reorder": "no"}, "reorder must be True or False, got 'no'"),
     ], ids=["negative-seed", "zero-permutations", "zero-splits", "fractional-seed",
-            "bool-seed", "fractional-permutations", "fractional-splits", "float-splits"])
+            "bool-seed", "fractional-permutations", "fractional-splits", "float-splits",
+            "string-reorder"])
     def test_bad_config_value_rejected_before_the_correlation(self, monkeypatch, setting,
                                                               message):
         X = np.random.default_rng(6).standard_normal((10, 8))
