@@ -8,7 +8,8 @@ spectrum. Rank and sparsity level are selected from the data.
 """
 
 from .baselines import block_constant_estimator, kmeans_columns
-from .corr import assemble_sigma, build_gamma, sample_correlation, vech, vech_indices
+from .corr import (assemble_sigma, build_gamma, offdiag_indices, sample_correlation, vech,
+                   vech_indices)
 from .lowrank import RankSelection, scree, select_rank_cattell, select_rank_pa, truncate_rank
 from .metrics import frobenius_error, support_confusion, whitening_error
 from .permute import (Dendrogram, cut_tree, dissimilarity, hclust_complete, leaf_order,
@@ -23,7 +24,8 @@ from .sparsify import (LambdaSelection, candidate_lambdas, hard_threshold, selec
 __version__ = "0.1.0"
 
 __all__ = [
-    "assemble_sigma", "build_gamma", "sample_correlation", "vech", "vech_indices",
+    "assemble_sigma", "build_gamma", "offdiag_indices", "sample_correlation", "vech",
+    "vech_indices",
     "RankSelection", "scree", "select_rank_cattell", "select_rank_pa", "truncate_rank",
     "LambdaSelection", "candidate_lambdas", "hard_threshold", "soft_threshold",
     "select_lambda_bl", "select_lambda_elbow", "sparse_sigma", "support_lambda",

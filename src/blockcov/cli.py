@@ -14,6 +14,7 @@ exits 1 with the library's message.
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -63,9 +64,11 @@ def _build_parser():
     est.add_argument("--input", required=True, help="CSV with one sample per row")
     est.add_argument("--header", action="store_true",
                      help="first input row holds variable names")
-    est.add_argument("--rank", default=defaults.rank_method,
+    est.add_argument("--rank", dest="rank_method", type=_number_or_name,
+                     default=defaults.rank_method,
                      help="rank selection: 'cattell', 'pa', or a fixed integer")
-    est.add_argument("--lambda", dest="lam", default=defaults.lambda_method,
+    est.add_argument("--lambda", dest="lambda_method", type=_number_or_name,
+                     default=defaults.lambda_method,
                      help="threshold selection: 'elbow', 'bl', or a fixed value")
     est.add_argument("--reorder", action="store_true",
                      help="cluster variables first and estimate in leaf order")
@@ -134,13 +137,8 @@ def _number_or_name(value):
 
 def _cmd_estimate(args):
     X, names = read_matrix_csv(args.input, header=args.header)
-    cfg = PipelineConfig(
-        rank_method=_number_or_name(args.rank),
-        lambda_method=_number_or_name(args.lam),
-        reorder=args.reorder,
-        inv_sqrt_threshold=args.inv_sqrt_threshold,
-        seed=args.seed,
-    )
+    # one flag per field: a field without a flag fails here
+    cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in fields(PipelineConfig)})
     est = estimate(X, cfg)
     if args.out_sigma:
         write_matrix_csv(args.out_sigma, est.sigma_hat, names=names)
@@ -162,7 +160,7 @@ def _cmd_estimate(args):
             "eigenvalue_max": est.inv_sqrt.eig_max,
             "inv_sqrt_kept": est.inv_sqrt.kept,
             "inv_sqrt_dropped": est.inv_sqrt.dropped,
-            "reordered": bool(args.reorder),
+            "reordered": cfg.reorder,
             "timings_s": {k: round(v, 6) for k, v in est.timings.items()},
             **est.diagnostics,
             # rounded to the microsecond; the key keeps its place from the spread above

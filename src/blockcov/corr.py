@@ -111,6 +111,16 @@ def validate_observations(X):
     return X
 
 
+def _centred_columns(X):
+    """Columns of ``X`` centred after an exact power-of-two scale to a maximum in [0.5, 1).
+
+    Ordinary data keeps its bits. For any finite input no sum overflows, and
+    a column that is not constant keeps a centred entry of at least 2**-55.
+    """
+    X = np.ldexp(X, -np.frexp(np.abs(X).max(axis=0))[1])
+    return X - X.mean(axis=0)
+
+
 def sample_correlation(X):
     """Pearson correlation matrix of the columns of ``X``.
 
@@ -120,12 +130,9 @@ def sample_correlation(X):
     never reaches the thresholding step.
     """
     X = validate_observations(X)
-    n = X.shape[0]
-    centered = X - X.mean(axis=0)
-    S = centered.T @ centered / (n - 1)
+    c = _centred_columns(X)
+    S = c.T @ c / (X.shape[0] - 1)
     sd = np.sqrt(np.diag(S))
-    if not sd.all():  # a column whose spread underflows when squared (1e-300, 2e-300, ...)
-        raise ValueError(f"column {np.flatnonzero(sd == 0)[0]} has zero sample variance")
     R = S / np.outer(sd, sd)
     R = (R + R.T) / 2
     R = np.clip(R, -1.0, 1.0)
@@ -151,6 +158,7 @@ def offdiag_indices(q):
     This is the order of ``vech(build_gamma(R))``: its k-th entry is
     ``R[rows[k], cols[k]]``, and ``assemble_sigma`` writes ``v[k]`` there.
     """
+    check_count("q", q, 0)
     return np.triu_indices(q, 1)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .corr import (build_gamma, check_count, check_flag, check_instance, check_nonnegative,
-                   sample_correlation, validate_observations, vech)
+from .corr import (_centred_columns, build_gamma, check_count, check_flag, check_instance,
+                   check_nonnegative, sample_correlation, validate_observations, vech)
 from .lowrank import (RankSelection, check_scree_size, scree, select_rank_cattell, select_rank_pa,
                       truncate_rank)
 from .permute import dissimilarity, hclust_complete, leaf_order, permute_matrix
@@ -28,21 +28,17 @@ from .sparsify import (LambdaSelection, candidate_lambdas, check_cv_samples, har
 
 @dataclass
 class PipelineConfig:
-    """Estimation policy: selectors, reordering, numerical controls."""
+    """The settings of ``blockcov estimate``, one field per flag; PA and BL run their defaults."""
 
     rank_method: str | int = "cattell"     # "cattell", "pa", or a fixed rank
     lambda_method: str | float = "elbow"   # "elbow", "bl", or a fixed threshold
     reorder: bool = False
     inv_sqrt_threshold: float = 0.1
     seed: int = 0
-    pa_permutations: int = 50
-    bl_splits: int = 50
 
     def __post_init__(self):
         check_flag("reorder", self.reorder)
         check_count("seed", self.seed, 0)
-        check_count("pa_permutations", self.pa_permutations, 1)
-        check_count("bl_splits", self.bl_splits, 1)
 
 
 @dataclass
@@ -129,7 +125,7 @@ def _rank_call(n, q, cfg):
         check_scree_size(q - 1)
         return lambda X, s: select_rank_cattell(s, r_max=max(2, min(n - 1, q - 2, 50)))
     if method == "pa":
-        return lambda X, s: select_rank_pa(X, s, n_perm=cfg.pa_permutations, seed=cfg.seed)
+        return lambda X, s: select_rank_pa(X, s, seed=cfg.seed)
     raise ValueError(f"unknown rank method {method!r}")
 
 
@@ -143,8 +139,7 @@ def _lambda_call(n, cfg):
         return lambda X, r, G, y: select_lambda_elbow(vech(G), y, candidate_lambdas(y))
     if method == "bl":
         check_cv_samples(n)
-        return lambda X, r, G, y: select_lambda_bl(X, r, candidate_lambdas(y),
-                                                   n_splits=cfg.bl_splits, seed=cfg.seed)
+        return lambda X, r, G, y: select_lambda_bl(X, r, candidate_lambdas(y), seed=cfg.seed)
     raise ValueError(f"unknown lambda method {method!r}")
 
 
@@ -248,5 +243,6 @@ def whiten(X, est):
     q = est.inv_sqrt.matrix.shape[0]
     if X.shape[1] != q:
         raise ValueError(f"observations of shape {X.shape} do not match a {q}-variable estimate")
-    Z = (X - X.mean(axis=0)) / X.std(axis=0, ddof=1)
+    c = _centred_columns(X)
+    Z = c / np.sqrt((c * c).sum(axis=0) / (X.shape[0] - 1))
     return Z @ est.inv_sqrt.matrix

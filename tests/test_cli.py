@@ -1,4 +1,6 @@
+import argparse
 import csv
+import dataclasses
 import io
 import json
 
@@ -196,6 +198,21 @@ class TestEstimateCommand:
         data = json.loads(report.read_text())
         assert data["rank_method"] == "fixed"
         assert data["lambda"] == 0.8
+
+    def test_config_fields_are_the_estimate_flags(self):
+        # every field has a flag and every flag but I/O sets a field, so
+        # a report's config can be turned back into flags
+        sub = next(a for a in blockcov.cli._build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in sub.choices["estimate"]._actions}
+        io_dests = {"help", "input", "header", "out_sigma", "out_invsqrt", "out_order",
+                    "out_report"}
+        assert io_dests <= dests
+        assert {f.name for f in dataclasses.fields(PipelineConfig)} == dests - io_dests
+        # PA's and BL's budgets are their selectors' defaults, not settings
+        for name in ("pa_permutations", "bl_splits"):
+            with pytest.raises(TypeError, match=name):
+                PipelineConfig(**{name: 5})
 
     def test_byte_identical_given_same_flags(self, tmp_path):
         x, _, _ = simulate_files(tmp_path, q=20, n=30, seed=5)

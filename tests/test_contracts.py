@@ -120,6 +120,9 @@ ROWS = [
      "reorder must be True or False, got 'no'"),
     ("PipelineConfig", lambda: bc.PipelineConfig(reorder=1),
      "reorder must be True or False, got 1"),
+    ("offdiag_indices", lambda: bc.offdiag_indices(2.5), "q must be an integer, got 2.5"),
+    ("offdiag_indices", lambda: bc.offdiag_indices(-1), "q must be non-negative, got -1"),
+    ("offdiag_indices", lambda: bc.offdiag_indices(True), "q must be an integer, got True"),
 ]
 
 

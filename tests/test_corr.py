@@ -78,11 +78,32 @@ class TestSampleCorrelation:
         with pytest.raises(ValueError, match="column 2 has zero sample variance"):
             validate_observations(X)
 
-    def test_spread_that_underflows_when_squared_rejected(self):
+    def test_spread_that_underflows_when_squared_correlates_as_scaled(self):
+        # 1e-300 is no power-of-two multiple of 1, so allow the rounding of the
+        # centred column; ldexp([1, 2, 3], -997) is one and keeps every bit
         X = np.random.default_rng(4).standard_normal((3, 3))
+        Y = X.copy()
+        Y[:, 1] = [1.0, 2.0, 3.0]
+        R = sample_correlation(Y)
         X[:, 1] = [1e-300, 2e-300, 3e-300]
-        with pytest.raises(ValueError, match="column 1 has zero sample variance"):
-            sample_correlation(X)
+        assert np.allclose(sample_correlation(X), R, rtol=0, atol=4 * np.finfo(float).eps)
+        X[:, 1] = np.ldexp(Y[:, 1], -997)
+        assert np.array_equal(sample_correlation(X), R)
+
+    @pytest.mark.parametrize("k", [-1000, -600, -530, 530, 600, 1000])
+    def test_power_of_two_scale_keeps_every_bit(self, k):
+        # squaring entries of 2**-530 loses bits, of 2**-600 underflows to zero,
+        # and of 2**530 overflows; scaled columns must correlate as the data does
+        X = np.random.default_rng(5).standard_normal((30, 12))
+        R = sample_correlation(X)
+        assert np.array_equal(sample_correlation(np.ldexp(X, k)), R)
+
+    def test_column_whose_sum_overflows(self):
+        X = np.random.default_rng(6).standard_normal((3, 3))
+        Y = X.copy()
+        X[:, 0] = [1.5e308, -1.5e308, 1e308]
+        Y[:, 0] = [1.5, -1.5, 1.0]
+        assert np.allclose(sample_correlation(X), sample_correlation(Y), rtol=0, atol=1e-15)
 
     def test_rejects_non_finite(self):
         X = np.ones((5, 3))
@@ -199,8 +220,7 @@ class TestIndexMaps:
         monkeypatch.setattr(blockcov.corr, "offdiag_indices",
                             lambda q: built["offdiag"].append(q) or offdiag_indices(q))
         X = np.random.default_rng(8).standard_normal((12, 9))
-        cfg = PipelineConfig(rank_method="pa", lambda_method="bl", pa_permutations=2,
-                             bl_splits=2)
+        cfg = PipelineConfig(rank_method="pa", lambda_method="bl")
         for _ in range(2):
             estimate(X, cfg)
         assert built == {"vech": [8], "offdiag": [9]}
@@ -210,8 +230,7 @@ class TestIndexMaps:
         # after one estimate only the two position arrays, q(q-1)/2 int64 each, stay
         q = 120
         X = np.random.default_rng(9).standard_normal((30, q))
-        cfg = PipelineConfig(rank_method=rank, lambda_method=lam, pa_permutations=4,
-                             bl_splits=4)
+        cfg = PipelineConfig(rank_method=rank, lambda_method=lam)
         estimate(X, cfg)  # warm-up: first-call state of numpy and the interpreter
         _flat_positions.cache_clear()
         gc.collect()

@@ -11,7 +11,8 @@ import blockcov.sparsify
 from blockcov.corr import build_gamma, sample_correlation, vech
 from blockcov.lowrank import scree, truncate_rank
 from blockcov.metrics import support_confusion
-from blockcov.pipeline import CorrelationEstimate, PipelineConfig, PipelineError, estimate, whiten
+from blockcov.pipeline import (CorrelationEstimate, PipelineConfig, PipelineError, estimate,
+                               finish, select, whiten)
 import blockcov.psd
 from blockcov.psd import DIAG_TOL, inv_sqrt
 from blockcov.simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
@@ -55,8 +56,7 @@ class TestEstimate:
     def test_deterministic(self):
         truth = build_scenario(ScenarioSpec("diagonal-unequal", 30, seed=4))
         X = sample_gaussian(truth, 20, seed=4)
-        cfg = PipelineConfig(rank_method="pa", lambda_method="bl",
-                             pa_permutations=5, bl_splits=5, seed=11)
+        cfg = PipelineConfig(rank_method="pa", lambda_method="bl", seed=11)
         a = estimate(X, cfg)
         b = estimate(X, cfg)
         assert np.array_equal(a.sigma_hat, b.sigma_hat)
@@ -76,16 +76,34 @@ class TestEstimate:
         assert not np.array_equal(est.permutation, np.arange(60))
         assert np.array_equal(np.sort(est.permutation), np.arange(60))
 
-    def test_reported_support_size_is_the_estimates_under_reorder(self):
+    def test_reported_support_size_is_the_estimates_under_reorder(self, monkeypatch):
         # BL counts its support on its own full-data truncation, which under
         # reordering differs from the pipeline's G_r in the last bits; on this
-        # input that moves one entry across the selected threshold.
+        # input with 5 splits that moves one entry across the selected threshold.
+        bl = blockcov.pipeline.select_lambda_bl
+        monkeypatch.setattr(blockcov.pipeline, "select_lambda_bl",
+                            lambda *args, **kwargs: bl(*args, n_splits=5, **kwargs))
         truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=7))
         X, _ = permute_columns(sample_gaussian(truth, 20, seed=7), seed=7)
-        cfg = PipelineConfig(rank_method=5, lambda_method="bl", reorder=True, bl_splits=5,
-                             seed=7)
-        est = estimate(X, cfg)
+        cfg = PipelineConfig(rank_method=5, lambda_method="bl", reorder=True, seed=7)
+        sel = select(X, cfg)
+        est = finish(sel, cfg)
+        assert sel.lam.support_size != est.lam.support_size
         assert int(est.support.sum()) // 2 == est.lam.support_size
+
+    @pytest.mark.parametrize("rank, lam, reorder", [("cattell", "elbow", False),
+                                                    ("pa", "bl", True)],
+                             ids=["cattell-elbow", "pa-bl-reorder"])
+    @pytest.mark.parametrize("k", [-600, 600])
+    def test_power_of_two_scale_keeps_every_bit(self, rank, lam, reorder, k):
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=3))
+        X, _ = permute_columns(sample_gaussian(truth, 20, seed=3), seed=3)
+        cfg = PipelineConfig(rank_method=rank, lambda_method=lam, reorder=reorder, seed=3)
+        a, b = estimate(X, cfg), estimate(np.ldexp(X, k), cfg)
+        for name in ("sigma_hat", "sigma_tilde", "support", "permutation", "scree"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(a.inv_sqrt.matrix, b.inv_sqrt.matrix)
+        assert (a.rank.r, a.lam.lam) == (b.rank.r, b.lam.lam)
 
     def test_fixed_parameter_validation(self):
         rng = np.random.default_rng(6)
@@ -114,17 +132,10 @@ class TestEstimate:
 
     @pytest.mark.parametrize("setting, message", [
         ({"seed": -1}, "seed must be non-negative, got -1"),
-        ({"rank_method": "pa", "pa_permutations": 0}, "pa_permutations must be at least 1"),
-        ({"lambda_method": "bl", "bl_splits": 0}, "bl_splits must be at least 1"),
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"seed": True}, "seed must be an integer, got True"),
-        ({"rank_method": "pa", "pa_permutations": 2.5}, "pa_permutations must be an integer"),
-        ({"lambda_method": "bl", "bl_splits": 2.5}, "bl_splits must be an integer"),
-        ({"lambda_method": "bl", "bl_splits": 4.0}, "bl_splits must be an integer"),
         ({"reorder": "no"}, "reorder must be True or False, got 'no'"),
-    ], ids=["negative-seed", "zero-permutations", "zero-splits", "fractional-seed",
-            "bool-seed", "fractional-permutations", "fractional-splits", "float-splits",
-            "string-reorder"])
+    ], ids=["negative-seed", "fractional-seed", "bool-seed", "string-reorder"])
     def test_bad_config_value_rejected_before_the_correlation(self, monkeypatch, setting,
                                                               message):
         X = np.random.default_rng(6).standard_normal((10, 8))
@@ -177,8 +188,7 @@ class TestEstimate:
         assert correlations == []
 
     def test_numpy_integer_counts_accepted(self):
-        cfg = PipelineConfig(seed=np.int64(3), pa_permutations=np.int32(2), bl_splits=np.int64(2))
-        assert (cfg.seed, cfg.pa_permutations, cfg.bl_splits) == (3, 2, 2)
+        assert PipelineConfig(seed=np.int64(3)).seed == 3
 
     def test_step_provenance_on_numerical_failure(self, monkeypatch):
         # a line search that demands more decrease than any step gives fails
@@ -229,9 +239,10 @@ class TestEstimate:
         pa = blockcov.pipeline.select_rank_pa
         monkeypatch.setattr(blockcov.pipeline, "select_rank_pa",
                             lambda X, s, **kw: passed.append(s) or pa(X, s, **kw))
-        est = estimate(X, PipelineConfig(rank_method="pa", pa_permutations=7, seed=8))
+        est = estimate(X, PipelineConfig(rank_method="pa", seed=8))
         # PA passes its permutations as stacks: count matrices, not calls
-        assert sum(math.prod(shape[:-2]) for shape in calls) == 1 + 7
+        assert est.rank.trace["permutations"] == 50
+        assert sum(math.prod(shape[:-2]) for shape in calls) == 1 + 50
         assert len(passed) == 1 and passed[0] is est.scree
 
     def test_selection_record_counts_the_bl_threshold_passes(self, monkeypatch):
@@ -253,10 +264,9 @@ class TestEstimate:
             return sel
         monkeypatch.setattr(blockcov.sparsify, "hard_threshold", counted)
         monkeypatch.setattr(blockcov.pipeline, "select_lambda_bl", counted_bl)
-        est = estimate(X, PipelineConfig(rank_method="pa", lambda_method="bl",
-                                         pa_permutations=3, bl_splits=4))
+        est = estimate(X, PipelineConfig(rank_method="pa", lambda_method="bl"))
         splits, grid = est.lam.trace["splits"], est.lam.trace["grid"].size
-        assert (est.rank.trace["permutations"], splits, grid) == (3, 4, 100)
+        assert (est.rank.trace["permutations"], splits, grid) == (50, 50, 100)
         assert in_bl == [splits * grid]
         assert list(est.diagnostics) == ["cpu_s", "projection", "eigendecompositions"]
 
@@ -300,7 +310,7 @@ class TestEstimate:
             monkeypatch.setattr(np.linalg, name, counter(getattr(np.linalg, name)))
         monkeypatch.setattr(blockcov.pipeline, "_step", tracked)
         est = estimate(X, PipelineConfig(rank_method=rank, lambda_method=lam, reorder=reorder,
-                                         pa_permutations=3, bl_splits=4, seed=4))
+                                         seed=4))
         record = est.diagnostics["eigendecompositions"]
         assert {k: v for k, v in record.items() if v} == counts
         assert set(record) == {"correlation", "rank-selection", "lambda-selection",
@@ -312,14 +322,13 @@ class TestEstimate:
     def test_eigendecomposition_record_sums_the_selectors_traces(self, rank, lam):
         X = sample_gaussian(build_scenario(ScenarioSpec("extra-diagonal-unequal", 30, seed=4)),
                             15, seed=4)
-        est = estimate(X, PipelineConfig(rank_method=rank, lambda_method=lam, pa_permutations=3,
-                                         bl_splits=4, seed=4))
+        est = estimate(X, PipelineConfig(rank_method=rank, lambda_method=lam, seed=4))
         record = est.diagnostics["eigendecompositions"]
         # the selectors' own decompositions, then the truncation to G_r
         assert record["rank-selection"] == est.rank.trace.get("eigendecompositions", 0) + 1
         assert record["lambda-selection"] == est.lam.trace.get("eigendecompositions", 0)
-        assert est.rank.trace.get("eigendecompositions") == (3 if rank == "pa" else None)
-        assert est.lam.trace.get("eigendecompositions") == (5 if lam == "bl" else None)
+        assert est.rank.trace.get("eigendecompositions") == (50 if rank == "pa" else None)
+        assert est.lam.trace.get("eigendecompositions") == (51 if lam == "bl" else None)
 
 
 class TestWhiten:
@@ -340,6 +349,14 @@ class TestWhiten:
         scale = np.geomspace(0.1, 10.0, 20)
         shift = np.linspace(-50.0, 50.0, 20)
         assert np.allclose(whiten(X * scale + shift, est), whiten(X, est), atol=1e-10)
+
+    @pytest.mark.parametrize("k", [-600, -540, 540, 600])
+    def test_power_of_two_scale_keeps_every_bit(self, k):
+        # the squares of entries of 2**-540 underflow and of 2**540 overflow
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 20, seed=11))
+        X = sample_gaussian(truth, 40, seed=11)
+        est = estimate(X, PipelineConfig(seed=11))
+        assert np.array_equal(whiten(np.ldexp(X, k), est), whiten(X, est))
 
     def test_true_sigma_whitens_large_sample(self):
         truth = build_scenario(ScenarioSpec("diagonal-equal", 10, seed=10))
