@@ -61,6 +61,9 @@ def kmeans_columns(X, k, seed=0):
     are re-seeded with the point farthest from its assigned centroid.
     """
     pts = np.ascontiguousarray(check_finite(check_matrix(X, "observations"), "observations").T)
+    # one power of two brings the largest magnitude into [0.5, 1): exact, and the
+    # squared distances can then neither overflow nor underflow to zero
+    pts = np.ldexp(pts, -np.frexp(np.abs(pts).max())[1])
     q = pts.shape[0]
     check_count("k", k, 1, q)
     n_distinct = np.unique(pts, axis=0).shape[0]

@@ -2,20 +2,21 @@
 
 Plain comma-separated values with '.' as the decimal separator and no
 locale-dependent formatting; an optional first row carries variable
-names. Values are written as ``%.17g`` (17 significant digits, so a
-write/read round trip is exact), one row per ``\r\n``-terminated line:
-the bytes ``np.savetxt(fmt="%.17g", delimiter=",", newline="\r\n")``
-writes.
+names. Files are read as UTF-8, with or without a byte-order mark, and
+written as UTF-8 without one. Values are written as ``%.17g`` (17
+significant digits, so a write/read round trip is exact), one row per
+``\r\n``-terminated line: the bytes
+``np.savetxt(fmt="%.17g", delimiter=",", newline="\r\n")`` writes.
 
 The writer formats about 4096 values (whole rows) at a time with numpy
-array operations. Zeros and every value whose ``%.17g`` text is
-fixed-point (decimal exponent -4 to 16, about ``1e-4 <= |x| < 1e17``) get
-their 17 digits from Dekker's error-free product of the value and a power
-of ten (T. J. Dekker, "A floating-point technique for extending the
-available precision", Numer. Math. 18, 1971), rounded half to even as
-CPython's ``%`` rounds them. NaN, infinities and values in exponent
-notation go through Python's ``%``, one call per block. Each block
-reaches the file in one write.
+array operations. Zeros and every value with ``1e-4 <= |x| < 10``, whose
+``%.17g`` text is fixed-point with at most one integer digit, get their 17
+digits from Dekker's error-free product of the value and a power of ten
+(T. J. Dekker, "A floating-point technique for extending the available
+precision", Numer. Math. 18, 1971), rounded half to even as CPython's
+``%`` rounds them. NaN, infinities and every other value go through
+Python's ``%``, one call per block. Each block reaches the file in one
+write.
 """
 
 import csv
@@ -26,7 +27,7 @@ import numpy as np
 
 def read_matrix_csv(path, header=False):
     """Read a numeric matrix; returns (matrix, names), names None without header."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -60,7 +61,7 @@ def write_matrix_csv(path, M, names=None):
     rows, cols = M.shape
     if names is not None and len(names) != cols:
         raise ValueError(f"{len(names)} names for {cols} columns")
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         if names is not None:
             csv.writer(fh).writerow(names)
         if cols == 0:
@@ -87,10 +88,10 @@ _POW10_LO = _POW10 - _POW10_HI
 #   byte 0      the separator before the value: ',' inside a row and '\r',
 #               written as "\r\n", before the first value of each row but the first
 #   byte 1      '-' for a negative value
-#   bytes 2-6   "0." and up to three zeros before the digits of a value below 1
-#   bytes 7-23  the 17 digits, without the trailing zeros of a fraction; when a
-#               value of at least 1 has a fraction, its integer digits move one
-#               byte left and the point takes byte 7 + k
+#   bytes 2-6   "0." and up to three zeros before the digits of a value below 1;
+#               a value of at least 1 with a fraction has its digit at byte 6
+#   bytes 7-23  the 17 digits, without the trailing zeros of a fraction, or the
+#               point and the 16 digits after the one at byte 6
 # A fallback text fills bytes 1-23, padded with spaces that become NUL; a
 # block with a 24-byte one gets a fourth word.
 _FALLBACK, _FALLBACK_WIDE = "%-23.17g", "%-31.17g"
@@ -121,30 +122,14 @@ def _chunk_words():
     return low, low << np.uint64(32)
 
 
-def _large_value_words():
-    """Words 0-2 for a value of at least 1, at its decimal exponent k = 0..17.
-
-    At k + 18 the text has a point after digit k. The four tables hold the
-    zeros its integer digits may have lost, the bytes of its fraction, the
-    bytes that move one left to make room for the point, and the point.
-    """
-    row, byte = np.arange(36)[:, None], np.arange(24)
-    k, pointed = row % 18, row >= 18
-    return [_words(mask * value).T.copy() for mask, value in (
-        ((byte >= 8) & (byte <= 7 + k), ord("0")),
-        (byte >= 8 + k, 0xFF),
-        (pointed & (byte >= 7) & (byte <= 7 + k), 0xFF),
-        (pointed & (byte == 7 + k), ord(".")),
-    )]
-
-
-# the sign and lead digit, at 10 * sign + digit
-_LEAD = _words(np.array([[0, ord("-") * sign, 0, 0, 0, 0, 0, ord("0") + d]
-                         for sign in (0, 1) for d in range(10)]))[:, 0]
-# the prefix of a value below 1, at decimal exponent k + 4 (k = -4..17)
+# the sign and lead digit, at 10 * sign + digit; at 20 + 10 * sign + digit
+# the digit of a value of at least 1 with a fraction, followed by the point
+_LEAD = _words(np.array([[0, ord("-") * sign, 0, 0, 0, 0]
+                         + ([ord("0") + d, ord(".")] if point else [0, ord("0") + d])
+                         for point in (0, 1) for sign in (0, 1) for d in range(10)]))[:, 0]
+# the prefix of a value below 1, at decimal exponent k + 4 (k = -4..0)
 _PREFIX = np.array([int.from_bytes(b"\0\0" + (b"0." + b"0" * (-k - 1) if k < 0 else b""), "little")
-                    for k in range(-4, 18)], dtype=np.uint64)
-_INTEGER_ZEROS, _FRACTION, _MOVE, _POINT = _large_value_words()
+                    for k in range(-4, 1)], dtype=np.uint64)
 
 
 def _format_rows(M):
@@ -172,14 +157,15 @@ def _format_rows(M):
 def _round17(x):
     """Decimal exponent k and 17-digit significand D of each |x|, exactly rounded.
 
-    ``fixed`` marks the values whose ``%.17g`` text is fixed-point
-    (-4 <= k <= 16), zeros included (D = k = 0). The others are left to the
-    fallback; their D and k are only valid table indices.
+    ``fixed`` marks the values whose ``%.17g`` text is fixed-point with at
+    most one integer digit (-4 <= k <= 0, that is 1e-4 <= |x| < 10), zeros
+    included (D = k = 0). The others are left to the fallback; their D and
+    k are only valid table indices.
     """
     a = np.abs(x)
     k = _decimal_exponent(a)
     zero = a == 0.0
-    fixed = zero | ((k >= -4) & (k <= 16))  # NaN fails both comparisons
+    fixed = zero | ((k >= -4) & (k <= 0))  # NaN fails both comparisons
     one = zero | ~fixed
     a[one] = 1.0
     k[one] = 0.0
@@ -197,13 +183,15 @@ def _round17(x):
     # log10 can be one off. hi + lo < 1e16 is D < 1e16, or D == 1e16 with hi
     # == 1e16 and lo < 0 (hi > 1e16 is hi >= 1e16 + 2 with |lo| <= 1); those
     # go to the fallback. D == 1e17 carries to the next exponent, whether
-    # hi + lo is below 1e17 or not, and D > 1e17 goes to the fallback.
+    # hi + lo is below 1e17 or not, and D > 1e17 goes to the fallback, as
+    # does a carry past k = 0.
     fixed &= (D - (lo < 0) >= 10 ** 16) & (D <= 10 ** 17)
     carry = D == 10 ** 17
     D[carry] = 10 ** 16
     k += carry
-    fixed &= k <= 16
+    fixed &= k <= 0
     D[~fixed] = 10 ** 16
+    k[~fixed] = 0
     D[zero] = 0
     return k, D, fixed
 
@@ -221,7 +209,7 @@ def _divmod(a, b):
 
 
 def _write_fixed_point(slots, x, k, D):
-    """Fill each slot with the fixed-point text of sign(x) * D * 10**(k - 16)."""
+    """Fill each slot with the fixed-point text of sign(x) * D * 10**(k - 16), k <= 0."""
     lead, rest = _divmod(D, 10 ** 16)
     upper, lower = _divmod(rest, 10 ** 8)
     chunks = [*_divmod(upper, 10 ** 4), *_divmod(lower, 10 ** 4)]
@@ -230,19 +218,7 @@ def _write_fixed_point(slots, x, k, D):
     for i in (2, 1, 0):
         chunks[i][chunks[i + 1] == _STRIPPED] += _STRIPPED
     low, high = _chunk_words()
-    words = np.empty((3, x.size), dtype=np.uint64)
-    words[0] = _PREFIX[k + 4] | _LEAD[lead + 10 * np.signbit(x)]
-    words[1] = low[chunks[0]] | high[chunks[1]]
-    words[2] = low[chunks[2]] | high[chunks[3]]
-    # A value of at least 1 gets back the zeros of its integer part and, when
-    # a fraction is left, the point; 0 and 1 need neither.
-    large = np.flatnonzero(k + (rest != 0) > 0)
-    if large.size:
-        k = k[large]
-        digits = words[:, large] | _INTEGER_ZEROS[:, k]
-        at = k + 18 * (digits & _FRACTION[:, k]).any(axis=0)
-        move = digits & _MOVE[:, at]
-        moved = move >> np.uint64(8)
-        moved[:2] |= move[1:] << np.uint64(56)
-        words[:, large] = digits ^ move | moved | _POINT[:, at]
-    slots[:] = words.T
+    point = (k == 0) & (rest != 0)
+    slots[:, 0] = _PREFIX[k + 4] | _LEAD[lead + 10 * np.signbit(x) + 20 * point]
+    slots[:, 1] = low[chunks[0]] | high[chunks[1]]
+    slots[:, 2] = low[chunks[2]] | high[chunks[3]]

@@ -5,7 +5,7 @@ import pytest
 
 from blockcov.baselines import block_constant_estimator, kmeans_columns
 from blockcov.corr import sample_correlation
-from blockcov.simulate import ScenarioSpec, build_scenario
+from blockcov.simulate import ScenarioSpec, build_scenario, sample_gaussian
 
 
 def block_constant_oracle(R, labels):
@@ -165,6 +165,17 @@ class TestKmeansColumns:
         X = np.random.default_rng(0).standard_normal((6, 3))
         with pytest.raises(ValueError, match=message):
             kmeans_columns(X, k)
+
+    @pytest.mark.parametrize("q", [60, 100])
+    @pytest.mark.parametrize("data_seed", range(6))
+    def test_power_of_two_scale_keeps_the_labels(self, q, data_seed):
+        # at 2**530 the squared distances overflowed (no clustering was returned),
+        # at 2**-600 they underflowed to zero (56 of 60 columns in one cluster)
+        truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", q))
+        X = sample_gaussian(truth, 30, seed=data_seed)
+        labels = kmeans_columns(X, 5)
+        for scale in (530, -600):
+            assert np.array_equal(kmeans_columns(np.ldexp(X, scale), 5), labels), scale
 
     def test_k_exceeding_distinct_columns(self):
         col = np.arange(5.0)

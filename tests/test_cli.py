@@ -223,6 +223,18 @@ class TestEstimateCommand:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_byte_order_mark_changes_no_output(self, tmp_path):
+        x, _, _ = simulate_files(tmp_path, q=20, n=30, seed=5)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + x.read_bytes())
+        outs = []
+        for name, path in (("plain", x), ("marked", marked)):
+            files = [tmp_path / f"{name}-{what}.csv" for what in ("sigma", "invsqrt")]
+            assert run(["estimate", "--input", path, "--out-sigma", files[0],
+                        "--out-invsqrt", files[1]]) == 0
+            outs.append([f.read_bytes() for f in files])
+        assert outs[0] == outs[1]
+
     def test_header_width_mismatch_exits_one(self, tmp_path, capsys):
         x = tmp_path / "X.csv"
         x.write_text("a,b,c\n" + "1,2,3,4\n2,1,4,3\n" * 5)

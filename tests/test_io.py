@@ -1,11 +1,17 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blockcov.io
 from blockcov.io import read_matrix_csv, write_matrix_csv
+from blockcov.pipeline import PipelineConfig, estimate
+from blockcov.simulate import ScenarioSpec, build_scenario, sample_gaussian
 
 
 def savetxt_bytes(M, names=None):
@@ -141,6 +147,33 @@ def test_decimal_ties_match_savetxt(tmp_path):
     # exactly halfway between two 17-digit decimals, and %.17g rounds it to even
     m = np.arange(2 ** 16, 9 * 2 ** 16, 5)
     M = ((2 * m + 1) * 2.0 ** -17).reshape(-1, 1)
+    assert blockcov.io._round17(M.ravel())[2].all()  # every tie takes the exact path
+    assert _written(tmp_path, M) == savetxt_bytes(M)
+
+
+def test_exact_path_covers_one_integer_digit():
+    inside = np.array([1.0, 9.5, np.nextafter(10, 0), 1e-4, 0.0])
+    outside = np.array([10.0, 12.5, 1e16, np.nextafter(1e-4, 0)])
+    fixed = blockcov.io._round17(np.concatenate([inside, outside, -inside, -outside]))[2]
+    assert np.array_equal(fixed, np.tile(np.arange(9) < 5, 2))
+
+
+def test_estimates_take_the_exact_path_below_ten():
+    truth = build_scenario(ScenarioSpec("extra-diagonal-unequal", 60))
+    est = estimate(sample_gaussian(truth, 30, seed=1), PipelineConfig())
+    for M in (est.sigma_hat, est.inv_sqrt.matrix):
+        x = M.ravel()
+        fixed = blockcov.io._round17(x)[2]
+        assert np.array_equal(fixed, (np.abs(x) >= 1e-4) & (np.abs(x) < 10) | (x == 0))
+        assert (np.abs(x) >= 1).any()  # each has entries with one integer digit
+
+
+def test_carry_past_one_integer_digit_falls_back(tmp_path, monkeypatch):
+    # with log10 one low, 10 rounds to the 17-digit significand 10**17 at k = 0
+    # and carries to k = 1, which the exact path does not write
+    exponent = blockcov.io._decimal_exponent
+    monkeypatch.setattr(blockcov.io, "_decimal_exponent", lambda a: exponent(a) - 1)
+    M = np.array([[10.0, 99.5, 1e16, 9.5], [-10.0, 1.0, 0.5, 1e-3]])
     assert _written(tmp_path, M) == savetxt_bytes(M)
 
 
@@ -199,6 +232,33 @@ def test_three_dimensional_array_rejected(tmp_path):
 def test_scalar_rejected(tmp_path):
     with pytest.raises(ValueError, match="1-d or 2-d"):
         write_matrix_csv(tmp_path / "m.csv", np.float64(1.5))
+
+
+@pytest.mark.parametrize("header", [False, True], ids=["no-header", "header"])
+def test_byte_order_mark_is_read_as_utf8(tmp_path, header):
+    # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+    text = ("σ̂,b\r\n" if header else "") + "1,2.5\r\n-3,4\r\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(text.encode("utf-8-sig"))
+    M, names = read_matrix_csv(plain, header=header)
+    assert np.array_equal(M, [[1, 2.5], [-3, 4]])
+    assert names == (["σ̂", "b"] if header else None)
+    back, back_names = read_matrix_csv(marked, header=header)
+    assert np.array_equal(back, M) and back_names == names
+
+
+def test_names_round_trip_as_utf8_in_an_ascii_locale(tmp_path):
+    # the C locale without UTF-8 mode makes ASCII the default file encoding
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONPATH": os.pathsep.join([str(Path(blockcov.io.__file__).parents[1]),
+                                          os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, numpy as np; from blockcov.io import read_matrix_csv, write_matrix_csv; "
+            "write_matrix_csv(sys.argv[1], np.eye(2), ['\\u03c3', '\\u65e5']); "
+            "assert read_matrix_csv(sys.argv[1], header=True)[1] == ['\\u03c3', '\\u65e5']")
+    path = tmp_path / "m.csv"
+    subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True)
+    assert path.read_bytes() == savetxt_bytes(np.eye(2), ["σ", "日"])
 
 
 def test_empty_file_rejected(tmp_path):
