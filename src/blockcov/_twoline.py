@@ -3,20 +3,14 @@
 import numpy as np
 
 
-def segment_rss(x, y):
-    """Residual sum of squares of the least-squares line through (x, y).
-
-    Segments with fewer than two points are fit exactly (zero residual).
-    """
-    if x.size < 2:
-        return 0.0
-    xc = x - x.mean()
-    yc = y - y.mean()
-    sxx = float(xc @ xc)
-    syy = float(yc @ yc)
-    if sxx == 0.0:
-        return syy
-    return max(syy - float(xc @ yc) ** 2 / sxx, 0.0)
+def _line_rss(count, mean_x, sums):
+    # residual of the line fit to ``count`` consecutive indices centred on
+    # ``mean_x``, from the sums of z, x z and z z over them; one point fits exactly
+    sz, sxz, szz = sums
+    var_x = count * (count * count - 1) / 12.0  # sum of (x - mean_x)^2 over consecutive integers
+    cov = sxz - mean_x * sz
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(count > 1, szz - sz * sz / count - cov * cov / var_x, 0.0)
 
 
 def two_segment_scan(y, breaks):
@@ -26,10 +20,20 @@ def two_segment_scan(y, breaks):
     b..end: the segments share the point at ``b``, so an elbow located
     exactly at a sample belongs to both lines and neither side gains from
     excluding it. Returns an array aligned with ``breaks``.
+
+    One pass of prefix sums of z = y - mean(y), x z and z z (x the index)
+    gives every segment's sums by one subtraction. A total at or below
+    ``n * eps * sum(z^2)``, the rounding of those sums, counts as exactly
+    0, so a straight line reads 0 at every breakpoint; the caller's argmin
+    then takes the first, which is how ties go to the smallest breakpoint.
     """
     y = np.asarray(y, dtype=float)
-    x = np.arange(y.size, dtype=float)
-    out = np.empty(len(breaks))
-    for k, b in enumerate(breaks):
-        out[k] = segment_rss(x[:b + 1], y[:b + 1]) + segment_rss(x[b:], y[b:])
-    return out
+    n = y.size
+    z = y - y.mean()
+    prefix = np.zeros((3, n + 1))
+    np.cumsum([z, np.arange(n) * z, z * z], axis=1, out=prefix[:, 1:])  # column k: points 0..k-1
+    b = np.asarray(breaks)
+    total = (_line_rss(b + 1, b / 2, prefix[:, b + 1])
+             + _line_rss(n - b, (b + n - 1) / 2, prefix[:, n:] - prefix[:, b]))
+    total[total <= n * np.finfo(float).eps * prefix[2, n]] = 0.0
+    return total

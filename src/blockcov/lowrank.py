@@ -31,7 +31,8 @@ def scree(G):
     """Singular values of a symmetric matrix, or of each matrix of a stack, in descending order.
 
     For a symmetric matrix these are the absolute eigenvalues, which is
-    what the eigendecomposition-based truncation uses.
+    what the eigendecomposition-based truncation uses. Only the lower
+    triangle is read: the upper one is taken to mirror it.
     """
     G = check_square(G, "scree's input", stack=True)
     return np.sort(np.abs(np.linalg.eigvalsh(G)), axis=-1)[..., ::-1]
@@ -47,7 +48,8 @@ def truncate_rank(G, r):
 
     Keeps the r eigenvalues of largest magnitude (their eigenvectors are
     the singular vectors) and zeroes the rest; the result is
-    re-symmetrized to remove round-off asymmetry.
+    re-symmetrized to remove round-off asymmetry. Only the lower triangle
+    of ``G`` is read: the upper one is taken to mirror it.
     """
     G = check_square(G, "truncate_rank's input")
     check_count("rank", r, 1, G.shape[0])

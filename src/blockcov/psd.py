@@ -123,10 +123,16 @@ def _pcg(matvec, precond, b, rtol):
 
 
 def _check_input(A):
-    """Return ``A`` as a float matrix, rejecting one that is not square, is empty or not finite."""
+    """Return ``A`` as a float matrix, rejecting one that is not square, is empty or not finite.
+
+    A matrix that is not exactly symmetric becomes its symmetric part
+    ``A/2 + A'/2``, halved first so that no sum overflows: ``eigh`` would
+    read one triangle only.
+    """
     A = check_square(A, "input")
     check_count("input size", A.shape[0], 1)
-    return check_finite(A, "input")
+    check_finite(A, "input")
+    return A if np.array_equal(A, A.T) else A / 2 + A.T / 2
 
 
 def nearest_correlation(A):
@@ -140,7 +146,10 @@ def nearest_correlation(A):
     search that cannot descend, raises ConvergenceError. The eigenvalues of
     ``X`` are then floored at ``EIG_FLOOR`` times the largest one and the
     result is rescaled to an exactly-unit diagonal, so it is strictly
-    positive definite and safe to eigendecompose downstream.
+    positive definite and safe to eigendecompose downstream. A non-symmetric
+    ``A`` is replaced by its symmetric part ``A/2 + A'/2``: for every
+    symmetric ``X``, ``||X - A||^2 = ||X - sym A||^2 + ||skew A||^2``, so
+    the two have the same nearest correlation matrix.
     """
     A = _check_input(A)
     q = A.shape[0]
@@ -184,7 +193,8 @@ def inv_sqrt(S, t):
     """Inverse square root with the small end of the spectrum dropped.
 
     Eigenvalues above ``t`` enter as 1/sqrt(d); the rest contribute
-    nothing. ``kept`` and ``dropped`` count the two groups.
+    nothing. ``kept`` and ``dropped`` count the two groups. A non-symmetric
+    ``S`` is replaced by its symmetric part ``S/2 + S'/2``.
     """
     S = _check_input(S)
     check_nonnegative("threshold", t)

@@ -248,3 +248,37 @@ class TestInvSqrt:
         res = inv_sqrt(M, 0.2)
         assert res.kept + res.dropped == 7
         assert isinstance(res, InvSqrtResult)
+
+
+
+class TestSymmetricPart:
+    # eigh reads one triangle only; both functions act on A/2 + A'/2 instead
+    def test_nearest_correlation_of_a_skew_pair_is_the_identity(self):
+        M = nearest_correlation([[1.0, 0.9], [-0.9, 1.0]]).matrix
+        assert np.array_equal(M, np.eye(2))
+
+    def test_inv_sqrt_reads_both_triangles(self):
+        res = inv_sqrt([[2.0, 1.0], [0.0, 2.0]], 0.0)
+        assert np.array_equal(res.matrix, inv_sqrt([[2.0, 0.5], [0.5, 2.0]], 0.0).matrix)
+        assert res.matrix[0, 1] < 0
+
+    @pytest.mark.parametrize("q", [5, 40])
+    def test_non_symmetric_input_acts_as_its_symmetric_part(self, q):
+        rng = np.random.default_rng(q)
+        A = rng.uniform(-0.6, 0.6, size=(q, q))
+        np.fill_diagonal(A, 1.0)
+        assert not np.array_equal(A, A.T)
+        sym = A / 2 + A.T / 2
+        assert np.array_equal(nearest_correlation(A).matrix, nearest_correlation(sym).matrix)
+        assert np.array_equal(inv_sqrt(A, 0.1).matrix, inv_sqrt(sym, 0.1).matrix)
+
+    def test_symmetric_input_is_used_as_it_is(self):
+        rng = np.random.default_rng(3)
+        S = sample_correlation(rng.standard_normal((30, 12)))
+        assert np.array_equal(S, S.T)
+        assert blockcov.psd._check_input(S) is S
+
+    def test_halving_first_cannot_overflow(self):
+        big = np.finfo(float).max
+        sym = blockcov.psd._check_input([[1.0, big], [big / 2, 1.0]])
+        assert np.array_equal(sym, [[1.0, 0.75 * big], [0.75 * big, 1.0]])
