@@ -105,10 +105,15 @@ def validate_observations(X):
         raise ValueError(f"need at least 2 variables, got {q}")
     check_finite(X, "observations")
     # an exact test: a variance pass misses a constant whose mean rounds (a column of 0.1s)
-    dead = np.flatnonzero((X == X[0]).all(axis=0))
+    dead = constant_columns(X)
     if dead.size:
         raise ValueError(f"column {dead[0]} has zero sample variance")
     return X
+
+
+def constant_columns(X):
+    """Indices of the columns of ``X`` whose every entry equals the first row's."""
+    return np.flatnonzero((X == X[0]).all(axis=0))
 
 
 def _centred_columns(X):

@@ -130,16 +130,20 @@ def _rank_call(n, q, cfg):
 
 
 def _lambda_call(n, cfg):
-    """Apply the threshold setting's rules; return the call that picks it from X, r, G and G_r."""
+    """Apply the threshold setting's rules; return the call that picks it.
+
+    The call takes X, the input column of each of its columns, r, G and G_r.
+    """
     method = cfg.lambda_method
     if not isinstance(method, str):
         check_nonnegative("lambda", method)
-        return lambda X, r, G, y: fixed_lambda(y, method)
+        return lambda X, perm, r, G, y: fixed_lambda(y, method)
     if method == "elbow":
-        return lambda X, r, G, y: select_lambda_elbow(vech(G), y, candidate_lambdas(y))
+        return lambda X, perm, r, G, y: select_lambda_elbow(vech(G), y, candidate_lambdas(y))
     if method == "bl":
         check_cv_samples(n)
-        return lambda X, r, G, y: select_lambda_bl(X, r, candidate_lambdas(y), seed=cfg.seed)
+        return lambda X, perm, r, G, y: select_lambda_bl(X, r, candidate_lambdas(y),
+                                                         seed=cfg.seed, columns=perm)
     raise ValueError(f"unknown lambda method {method!r}")
 
 
@@ -174,7 +178,7 @@ def select(X, cfg):
         y = vech(truncate_rank(G, rank.r))
 
     with _step("lambda-selection", timings, cpu_s):
-        lam = select_lambda(X, rank.r, G, y)
+        lam = select_lambda(X, perm, rank.r, G, y)
 
     return Selection(permutation=perm, scree=s, rank=rank, y=y, lam=lam, timings=timings,
                      cpu_s=cpu_s)

@@ -4,8 +4,10 @@ With an identity design the l1-penalized least-squares problem has a
 closed form: entries of magnitude at most lambda/2 vanish and the rest
 shrink. The pipeline keeps the surviving entries unshrunk (hard
 thresholding, a least-squares refit of the non-nulls); soft thresholding
-is exposed for comparison. Two selectors choose the threshold: an elbow
-fit on the reconstruction-error curve and a cross-validation criterion.
+is that closed form itself, the exact l1-penalized solution the hard
+threshold refits, kept as its reference. Two selectors choose the
+threshold: an elbow fit on the reconstruction-error curve and a
+cross-validation criterion.
 """
 
 import math
@@ -17,7 +19,8 @@ import numpy as np
 from ._rng import STREAM_BL, substream
 from ._twoline import two_segment_scan
 from .corr import (assemble_sigma, build_gamma, check_count, check_finite, check_nonnegative,
-                   offdiag_vech, sample_correlation, validate_observations, vech)
+                   constant_columns, offdiag_vech, sample_correlation, validate_observations,
+                   vech)
 from .lowrank import _replicate_threads, truncate_rank
 
 
@@ -173,7 +176,7 @@ def _one_ahead(fn, count, threaded):
             yield current
 
 
-def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
+def select_lambda_bl(X, r, grid, n_splits=50, seed=0, columns=None):
     """Cross-validated threshold choice.
 
     Every split estimates the thresholded matrix on a training subsample
@@ -183,6 +186,11 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     smaller index). The rank ``r`` is reused as selected on the full data
     rather than re-selected per split. Split ``i`` draws from substream
     ``i`` of ``seed``.
+
+    A column that is constant on a split's training or held-out rows has
+    no correlation there; the ``ValueError`` names the split, the side,
+    its row count and the lowest such column as ``columns`` numbers them
+    (the caller's data, before any reordering; default ``0, ..., q - 1``).
 
     When ``_replicate_threads(q, min(n_splits, 2))`` gives two threads,
     one worker thread prepares the next split (its two correlations and
@@ -199,13 +207,26 @@ def select_lambda_bl(X, r, grid, n_splits=50, seed=0):
     check_cv_samples(n)
     check_count("n_splits", n_splits, 1)
     train_size = default_train_size(n)
+    columns = np.arange(q) if columns is None else np.asarray(columns)
+
+    def correlation(i, side, rows):
+        Xs = X[rows]
+        try:
+            return sample_correlation(Xs)
+        except ValueError:
+            dead = constant_columns(Xs)
+            if dead.size == 0:
+                raise
+            raise ValueError(f"BL split {i}, {side} side ({Xs.shape[0]} rows): column "
+                             f"{min(columns[dead])} has zero sample variance on these rows; "
+                             "use --lambda elbow or a fixed threshold") from None
 
     def split(i):
         mask = np.zeros(n, dtype=bool)
         mask[substream(seed, STREAM_BL, i).permutation(n)[:train_size]] = True
         # the training side first: no held-out correlation is held across the eigh
-        y1 = vech(truncate_rank(build_gamma(sample_correlation(X[mask])), r))
-        rvec2 = offdiag_vech(sample_correlation(X[~mask]))
+        y1 = vech(truncate_rank(build_gamma(correlation(i, "training", mask)), r))
+        rvec2 = offdiag_vech(correlation(i, "held-out", ~mask))
         # only a kept entry with |y1| > 1 can leave [-1, 1]
         return y1, rvec2, np.flatnonzero(np.abs(y1) > 1.0)
 

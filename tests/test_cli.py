@@ -3,23 +3,40 @@ import csv
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blockcov
 import blockcov.benchmark
 import blockcov.cli
 import blockcov.pipeline
 import blockcov.psd
+from blockcov._rng import STREAM_BL, substream
 from blockcov.cli import main
 from blockcov.corr import sample_correlation
 from blockcov.io import read_matrix_csv, write_matrix_csv
 from blockcov.pipeline import PipelineConfig, estimate
 from blockcov.simulate import ScenarioSpec, build_scenario, permute_columns, sample_gaussian
+from blockcov.sparsify import default_train_size
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_fresh(args, cwd):
+    """``python -m blockcov.cli`` in a new interpreter that imports this test's ``blockcov``."""
+    env = dict(os.environ)
+    # pytest's ``pythonpath`` setting does not reach a child process
+    home = str(Path(blockcov.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [home, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "blockcov.cli", *map(str, args)], cwd=cwd,
+                          env=env, capture_output=True, text=True)
 
 
 def simulate_files(tmp_path, scenario="diagonal-equal", q=100, n=50, seed=0, extra=()):
@@ -196,8 +213,10 @@ class TestEstimateCommand:
                     "--out-report", report])
         assert code == 0
         data = json.loads(report.read_text())
-        assert data["rank_method"] == "fixed"
+        # neither selector runs and no trace is recorded
+        assert data["rank_method"] == data["lambda_method"] == "fixed"
         assert data["lambda"] == 0.8
+        assert data["lambda_trace"] == {}
 
     def test_config_fields_are_the_estimate_flags(self):
         # every field has a flag and every flag but I/O sets a field, so
@@ -234,6 +253,37 @@ class TestEstimateCommand:
                         "--out-invsqrt", files[1]]) == 0
             outs.append([f.read_bytes() for f in files])
         assert outs[0] == outs[1]
+
+    def test_power_of_two_scale_changes_no_output_byte(self, tmp_path):
+        # %.17g round-trips every double, and squaring entries of 2**600 would overflow
+        x, _, _ = simulate_files(tmp_path, q=40, n=20)
+        big = tmp_path / "big.csv"
+        np.savetxt(big, np.ldexp(np.loadtxt(x, delimiter=","), 600), fmt="%.17g", delimiter=",")
+        outs = []
+        for name, path in (("plain", x), ("big", big)):
+            files = [tmp_path / f"{name}-{what}.csv" for what in ("sigma", "invsqrt")]
+            assert run(["estimate", "--input", path, "--rank", "pa", "--lambda", "bl",
+                        "--reorder", "--out-sigma", files[0], "--out-invsqrt", files[1]]) == 0
+            outs.append([f.read_bytes() for f in files])
+        assert outs[0] == outs[1]
+
+    def test_bl_split_with_a_constant_column_names_it_in_the_input_file(self, tmp_path,
+                                                                        capsys):
+        # sparse 0/1 data: no column is constant, but columns 20, 27, 44, 52 and 88
+        # are on the 9 held-out rows of split 0; --reorder's leaf order puts 44 first
+        X = (np.random.default_rng(0).random((30, 100)) < 0.3).astype(float)
+        rows = np.ones(30, dtype=bool)
+        rows[substream(0, STREAM_BL, 0).permutation(30)[:default_train_size(30)]] = False
+        dead = np.flatnonzero((X[rows] == X[rows][0]).all(axis=0))
+        assert not (X == X[0]).all(axis=0).any() and dead[0] == 20 and rows.sum() == 9
+        x = tmp_path / "X.csv"
+        write_matrix_csv(x, X)
+        for extra in ([], ["--reorder"]):
+            assert run(["estimate", "--input", x, "--lambda", "bl", *extra]) == 1
+            assert capsys.readouterr().err == (
+                "error: invalid input in step 'lambda-selection': BL split 0, held-out side "
+                "(9 rows): column 20 has zero sample variance on these rows; use --lambda "
+                "elbow or a fixed threshold\n")
 
     def test_header_width_mismatch_exits_one(self, tmp_path, capsys):
         x = tmp_path / "X.csv"
@@ -323,9 +373,11 @@ class TestEstimateReport:
                     "--out-report", report]) == 0
         data = json.loads(report.read_text())
         assert data["schema"] == "blockcov-report v2"
-        assert not {"threads", "selection"} & set(data)
-        assert {"threads", "permutations"} <= set(data["rank_trace"])
-        assert {"threads", "splits", "grid"} <= set(data["lambda_trace"])
+        assert {"cpu_s", "projection", "eigendecompositions"} <= set(data)
+        assert not {"threads", "selection", "inverse_root"} & set(data)
+        assert {"threads", "permutations", "quantile_curve"} <= set(data["rank_trace"])
+        assert {"threads", "splits", "grid", "loss"} <= set(data["lambda_trace"])
+        assert data["projection"]["diag_gap"] <= 1e-7
         assert data["rank_trace"]["permutations"] == data["lambda_trace"]["splits"] == 50
 
     def test_curve_lengths_and_keys(self, tmp_path):
@@ -382,6 +434,18 @@ class TestBenchmarkCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 1 * 1 * 3
 
+    def test_reorder_and_permuted_columns_give_a_row_per_scenario_and_method(self, tmp_path):
+        out = tmp_path / "results.csv"
+        assert run(["benchmark", "--methods", "blocks_fast,hclust", "--q-list", 40,
+                    "--n-list", 20, "--reps", 1, "--reorder", "--permute-columns",
+                    "--out", out]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == [
+            "# schema: blockcov-results v1",
+            "scenario,n,q,rep,method,frobenius_error,tpr,fpr,whitening_error,rank,lambda,"
+            "support_size,wall_time_s"]
+        assert len(lines) == 2 + 4 * 2  # four scenarios x two methods
+
     def test_invalid_method_exits_one(self, tmp_path, capsys):
         code = run(["benchmark", "--methods", "specc", "--out", tmp_path / "r.csv"])
         assert code == 1
@@ -429,3 +493,35 @@ def test_negative_seed_exits_one(tmp_path, capsys, monkeypatch, command, flags):
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert started == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["X.csv"]
+
+
+class TestFreshProcess:
+    def test_exit_status_of_the_module(self, tmp_path):
+        x, _, _ = simulate_files(tmp_path, q=20, n=10)
+        assert run_fresh(["estimate", "--input", x], tmp_path).returncode == 0
+        # the projection's numerics are fixed; a removed flag is an argument error
+        done = run_fresh(["estimate", "--input", x, "--psd-tol", 1e-9], tmp_path)
+        assert done.returncode == 1
+        assert "unrecognized arguments: --psd-tol" in done.stderr
+
+    def test_threaded_selectors_repeat_across_processes(self, tmp_path):
+        # at q = 150 BL prepares its splits on a worker thread and PA spreads its
+        # permutation stacks over the CPUs; two runs must select and score alike,
+        # with BL and with PA alone (a fixed threshold)
+        x, _, _ = simulate_files(tmp_path, q=150, n=20)
+        reports = {}
+        for name, lam in (("bl1", "bl"), ("bl2", "bl"), ("pa1", 0.4), ("pa2", 0.4)):
+            done = run_fresh(["estimate", "--input", x, "--rank", "pa", "--lambda", lam,
+                              "--out-report", f"{name}.json"], tmp_path)
+            assert done.returncode == 0, done.stderr
+            reports[name] = json.loads((tmp_path / f"{name}.json").read_text())
+        a, b = reports["bl1"], reports["bl2"]
+        for key in ("rank", "rank_trace", "lambda", "lambda_trace"):
+            assert a[key] == b[key], key
+        for pa in (reports["pa1"], reports["pa2"]):
+            assert pa["rank"] == a["rank"] and pa["rank_trace"] == a["rank_trace"]
+            assert pa["lambda_trace"] == {}
+        # PA's stacks and BL's two tasks take their threads from one rule;
+        # their budgets are the selectors' defaults
+        assert a["lambda_trace"]["threads"] == min(a["rank_trace"]["threads"], 2)
+        assert a["rank_trace"]["permutations"] == a["lambda_trace"]["splits"] == 50
