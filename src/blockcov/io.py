@@ -8,6 +8,12 @@ significant digits, so a write/read round trip is exact), one row per
 ``\r\n``-terminated line: the bytes
 ``np.savetxt(fmt="%.17g", delimiter=",", newline="\r\n")`` writes.
 
+The reader skips blank lines and converts each row with ``float`` as
+soon as ``csv.reader`` yields it, so a read holds about twice the matrix:
+the float rows, then the stacked result. ``float`` decides what a value
+is (it accepts ``1_000``, ``nan`` and surrounding spaces), and an error
+names the row by its line in the file.
+
 The writer formats about 4096 values (whole rows) at a time with numpy
 array operations. Zeros and every value with ``1e-4 <= |x| < 10``, whose
 ``%.17g`` text is fixed-point with at most one integer digit, get their 17
@@ -27,28 +33,31 @@ import numpy as np
 
 def read_matrix_csv(path, header=False):
     """Read a numeric matrix; returns (matrix, names), names None without header."""
+    names, rows, width = None, [], None
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row:
+                continue
+            if header and names is None:
+                names = row
+                continue
+            if width is None:
+                width = len(row)
+                if names is not None and len(names) != width:
+                    raise ValueError(
+                        f"{path}: header has {len(names)} names, rows have {width} fields")
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}: row {reader.line_num} has {len(row)} fields, expected {width}")
+            try:
+                rows.append(np.fromiter(map(float, row), np.float64, width))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {reader.line_num}: {exc}") from exc
     if not rows:
-        raise ValueError(f"{path}: empty file")
-    names = None
-    if header:
-        names = rows[0]
-        rows = rows[1:]
-        if not rows:
-            raise ValueError(f"{path}: no data rows after header")
-    width = len(rows[0])
-    if names is not None and len(names) != width:
-        raise ValueError(f"{path}: header has {len(names)} names, rows have {width} fields")
-    data = np.empty((len(rows), width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: row {i + 1} has {len(row)} fields, expected {width}")
-        try:
-            data[i] = [float(v) for v in row]
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {i + 1}: {exc}") from exc
-    return data, names
+        raise ValueError(f"{path}: no data rows after header" if names is not None
+                         else f"{path}: empty file")
+    return np.array(rows), names
 
 
 def write_matrix_csv(path, M, names=None):

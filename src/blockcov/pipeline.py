@@ -194,7 +194,7 @@ def finish(sel, cfg):
 
     with _step("psd-projection", timings, cpu_s):
         proj = nearest_correlation(S_tilde)
-        S_hat = proj.matrix
+        S_hat, proj.matrix = proj.matrix, None  # the back-permutation holds one order only
 
     with _step("inverse-square-root", timings, cpu_s):
         W = inv_sqrt(S_hat, cfg.inv_sqrt_threshold)

@@ -163,6 +163,10 @@ def nearest_correlation(A):
         steps += 1
         matvec, precond = cur.jacobian()
         dy, k = _pcg(matvec, precond, -cur.grad, min(0.1, np.sqrt(q) * gap))
+        # the line search reads only y, theta and grad: free the eigenvectors
+        # and the Jacobian's blocks before the trials' eigendecompositions
+        del matvec, precond
+        cur.P = None
         cg_steps += k
         slope = cur.grad @ dy
         # sufficient decrease, up to the rounding error of the objective itself
@@ -173,6 +177,7 @@ def nearest_correlation(A):
             eigh_calls += 1
             if trial.theta <= cur.theta + _ARMIJO * t * slope + slack:
                 break
+            del trial
             t /= 2
             if t < _MIN_STEP:
                 raise ConvergenceError(
@@ -181,7 +186,9 @@ def nearest_correlation(A):
         cur = trial
     w = np.maximum(cur.w, EIG_FLOOR * cur.w[-1])
     M = (cur.P * w) @ cur.P.T
-    M = (M + M.T) / 2
+    cur.P = None
+    M += M.T  # numpy copies the overlapping M.T: the bits of (M + M.T) / 2
+    M *= 0.5
     d = np.sqrt(np.clip(np.diag(M), np.finfo(float).tiny, None))
     M /= np.outer(d, d)
     np.fill_diagonal(M, 1.0)
@@ -203,6 +210,8 @@ def inv_sqrt(S, t):
     inv = np.zeros_like(w)
     inv[keep] = 1.0 / np.sqrt(w[keep])
     W = (V * inv) @ V.T
-    W = (W + W.T) / 2
+    del V
+    W += W.T
+    W *= 0.5
     return InvSqrtResult(matrix=W, kept=int(keep.sum()), dropped=int((~keep).sum()),
                          eig_min=float(w[0]), eig_max=float(w[-1]))

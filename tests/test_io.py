@@ -3,6 +3,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,45 @@ def test_non_numeric_rejected(tmp_path):
     path.write_text("1,2\n3,x\n")
     with pytest.raises(ValueError, match="row 2"):
         read_matrix_csv(path)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("a,b\n\n1,2\n3\n", "row 4 has 1 fields, expected 2"),
+    ("a,b\n1,2\n\n3,x\n", "row 4: could not convert string to float: 'x'"),
+], ids=["ragged", "non-numeric"])
+def test_errors_name_the_line_of_the_file(tmp_path, text, message):
+    # the header and the blank line count: row 4 is the fourth line of the file
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        read_matrix_csv(path, header=True)
+
+
+def test_header_mark_and_blank_lines(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes("\ufeffσ,b\r\n\r\n1,2.5\r\n\r\n\r\n-3, 1_000\r\nnan,-0\r\n\r\n".encode())
+    M, names = read_matrix_csv(path, header=True)
+    assert names == ["σ", "b"]
+    assert M.dtype == np.float64 and M.flags.c_contiguous
+    assert np.array_equal(M, [[1, 2.5], [-3, 1000], [np.nan, -0.0]], equal_nan=True)
+    assert np.signbit(M[2, 1])
+
+
+def test_read_holds_about_twice_the_matrix(tmp_path):
+    # each row becomes floats as it is read; the strings of the whole file
+    # held about 10.7 times the matrix
+    M = np.random.default_rng(12).standard_normal((300, 300))
+    path = tmp_path / "m.csv"
+    write_matrix_csv(path, M)
+    read_matrix_csv(path)  # warm-up: first-call state of csv and numpy
+    tracemalloc.start()
+    try:
+        back, _ = read_matrix_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, M)
+    assert peak <= 3 * M.nbytes
 
 
 def test_header_only_file_rejected(tmp_path):
